@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test fuzz coverage examples bench bench-full serve-bench scale-bench stats chaos open-loop trace docs-check
+.PHONY: test fuzz coverage examples bench bench-full perfbench serve-bench scale-bench stats chaos open-loop trace docs-check
 
 ## Tier-1 test suite (what CI runs).  Includes 200 seeded differential
 ## plan-fuzzing cases; `make fuzz` cranks the seed count.
@@ -46,6 +46,20 @@ bench:
 ## Larger TPC-H scale factor for more stable wall-clock numbers.
 bench-full:
 	$(PYTHON) benchmarks/run_benchmarks.py --sf 0.1 --repeat 5
+
+## The repository benchmark (BENCHMARK.json): each perfbench workload
+## once, untraced, printing its `details:` line and its metrics line.
+## SEED and SECONDS are overridable, so an A/B against another checkout
+## is this one command run in each tree.
+SEED ?= 1
+SECONDS ?= 15
+PERFBENCH_WORKLOADS = adhoc_cold dashboard_warm serve_refresh join_sweep
+perfbench:
+	@set -e; for workload in $(PERFBENCH_WORKLOADS); do \
+		echo "== $$workload"; \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed $(SEED) \
+			--seconds $(SECONDS) --trace 0 | tail -n 2; \
+	done
 
 ## Serving smoke run (CI job "serve"): the cold tpch suite plus the
 ## 4-tenant serve suite into a scratch file, then gate the invariants —

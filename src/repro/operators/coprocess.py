@@ -47,7 +47,7 @@ from .gpujoin import (
     estimate_gpu_partitioned_join,
     gpu_partitioned_join_kernel,
 )
-from .hashjoin import HASH_ENTRY_BYTES, composite_key
+from .hashjoin import HASH_ENTRY_BYTES
 from .radix import (
     _validate_output_order,
     attach_order_columns,
@@ -55,6 +55,7 @@ from .radix import (
     partition_tuple_bytes,
     radix_partition_kernel,
     restore_canonical_order,
+    with_join_key,
 )
 from ..relational.physical import RoutingPolicy
 
@@ -114,10 +115,8 @@ def coprocessed_radix_join(build: Mapping[str, np.ndarray],
     _validate_output_order(output_order)
     record_kernel_invocation("coprocessed_radix_join")
 
-    build = {name: np.asarray(values) for name, values in build.items()}
-    probe = {name: np.asarray(values) for name, values in probe.items()}
-    build = dict(build, __key=composite_key(build, build_keys))
-    probe = dict(probe, __key=composite_key(probe, probe_keys))
+    build = with_join_key(build, build_keys)
+    probe = with_join_key(probe, probe_keys)
     build_rows = columns_num_rows(build)
     probe_rows = columns_num_rows(probe)
     tuple_bytes = partition_tuple_bytes(build)
@@ -179,9 +178,7 @@ def coprocessed_radix_join(build: Mapping[str, np.ndarray],
         gpu.charge(join_cost.seconds, earliest=ready,
                    label=f"gpu-join[p{build_block.partition}]")
         total_cost.merge(join_cost)
-        columns = {name: values for name, values in result_columns.items()
-                   if name != "__key"}
-        outputs.append(columns)
+        outputs.append(result_columns)
 
     # 5. results (already reduced in size) return to CPU memory.
     if outputs:

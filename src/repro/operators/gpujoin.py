@@ -35,16 +35,18 @@ from .base import (
     record_kernel_invocation,
 )
 from .filterproject import compute_ops_per_sec
-from .hashjoin import HASH_ENTRY_BYTES, composite_key, join_match_indices
+from .hashjoin import HASH_ENTRY_BYTES
 from .radix import (
     PartitionPlan,
     PartitionRunStats,
+    _join_copartitions,
     _validate_output_order,
     attach_order_columns,
     estimate_partition_run,
     partition_by_plan_kernel,
     plan_partition_passes,
     restore_canonical_order,
+    with_join_key,
 )
 
 PROBE_VARIANTS = ("SM", "L1", "SM+L1")
@@ -194,10 +196,8 @@ def gpu_partitioned_join_kernel(
     if morsel_rows is not None:
         build = MorselSink().extend(iter_morsels(build, morsel_rows)).finish()
         probe = MorselSink().extend(iter_morsels(probe, morsel_rows)).finish()
-    build = {name: np.asarray(values) for name, values in build.items()}
-    probe = {name: np.asarray(values) for name, values in probe.items()}
-    build = dict(build, __key=composite_key(build, build_keys))
-    probe = dict(probe, __key=composite_key(probe, probe_keys))
+    build = with_join_key(build, build_keys)
+    probe = with_join_key(probe, probe_keys)
     build_rows = columns_num_rows(build)
     probe_rows = columns_num_rows(probe)
     input_bytes = payload_nbytes(build) + payload_nbytes(probe)
@@ -216,28 +216,7 @@ def gpu_partitioned_join_kernel(
                                                       plan=probe_plan,
                                                       pool=pool)
 
-    outputs: list[ArrayMap] = []
-    for build_part, probe_part in zip(build_parts, probe_parts):
-        if columns_num_rows(build_part) == 0 or columns_num_rows(probe_part) == 0:
-            continue
-        build_indices, probe_indices = join_match_indices(
-            build_part["__key"], probe_part["__key"])
-        merged: ArrayMap = {}
-        for name, values in build_part.items():
-            if name != "__key":
-                merged[name] = values[build_indices]
-        for name, values in probe_part.items():
-            if name != "__key":
-                merged[name] = values[probe_indices]
-        outputs.append(merged)
-    if outputs:
-        columns = {name: np.concatenate([part[name] for part in outputs])
-                   for name in outputs[0]}
-    else:
-        columns = {name: np.asarray(values)[:0]
-                   for name, values in build.items() if name != "__key"}
-        columns.update({name: np.asarray(values)[:0]
-                        for name, values in probe.items() if name != "__key"})
+    columns = _join_copartitions(build_parts, probe_parts, build, probe)
     if output_order is not None:
         columns = restore_canonical_order(columns, output_order=output_order)
     stats = GpuJoinStats(

@@ -36,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ..hardware.device import Device
-from ..relational.keys import JoinBuildIndex, composite_key_map, match_indices
+from ..relational.keys import JoinBuildIndex, composite_key_map
 from ..storage.morsel import Morsel, MorselSink, concat_columns, iter_morsels
 from .base import (
     ArrayMap,
@@ -58,10 +58,12 @@ def join_match_indices(build_keys: np.ndarray,
                        probe_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions of all matching (build, probe) pairs for an equi-join.
 
-    Vectorized with a sort + binary search; handles duplicate build keys.
-    Returns ``(build_indices, probe_indices)``.
+    One :class:`~repro.relational.keys.JoinBuildIndex` build and probe:
+    a direct-address table for unique, densely spread integer keys, the
+    sort-based matcher otherwise; handles duplicate build keys.  Returns
+    ``(build_indices, probe_indices)`` ordered by probe position.
     """
-    return match_indices(build_keys, probe_keys)
+    return JoinBuildIndex(build_keys).probe(probe_keys)
 
 
 def composite_key(columns: Mapping[str, np.ndarray],
@@ -103,7 +105,7 @@ class HashJoinBuild:
     """The build-then-probe state of the non-partitioned hash join.
 
     Constructing it consumes the *entire* build side (the join's pipeline
-    breaker) and sorts the folded keys once — the simulated analogue of
+    breaker) and indexes the folded keys once — the simulated analogue of
     building the global hash table.  :meth:`probe` then matches one probe
     batch at a time; per-morsel probe outputs concatenate to exactly the
     whole-column join result, so a morsel scheduler can stream the probe

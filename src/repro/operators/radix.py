@@ -16,8 +16,9 @@ operators and the paper-scale analytic models in :mod:`repro.perf` call it.
 
 Following the single-evaluation operator contract (see
 :mod:`repro.operators`), the functional partitioning lives in
-:func:`radix_partition_kernel` — one stable argsort plus one gather per
-column, with the ``fanout`` buckets sliced out as zero-copy views — while
+:func:`radix_partition_kernel` — one stable argsort (a radix sort on
+``uint16`` bucket ids) plus one gather per column, with the ``fanout``
+buckets sliced out as zero-copy views — while
 :func:`estimate_radix_partition` / :func:`estimate_partition_run` replay the
 exact per-pass cost arithmetic from a :class:`PartitionRunStats` record.
 """
@@ -49,6 +50,9 @@ _OPS_PER_PARTITION_STEP = 6.0
 
 #: Scalar ops per tuple of the in-cache build/probe phase.
 _OPS_PER_JOIN_STEP = 10.0
+
+#: Largest fan-out whose bucket ids fit ``uint16``.
+_SMALL_BUCKET_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -181,9 +185,14 @@ def radix_partition_kernel(columns: Mapping[str, np.ndarray], *,
     if fanout == 1:
         return [dict(columns)]
     keys = np.asarray(columns[key], dtype=np.int64)
-    bucket = (keys % fanout + fanout) % fanout
+    bucket = keys % fanout
+    if fanout <= _SMALL_BUCKET_LIMIT:
+        # NumPy's stable sort is a radix sort on 16-bit ints; the stable
+        # permutation does not depend on the id dtype.
+        bucket = bucket.astype(np.uint16)
     order = np.argsort(bucket, kind="stable")
-    boundaries = np.searchsorted(bucket[order], np.arange(fanout + 1))
+    boundaries = np.zeros(fanout + 1, dtype=np.int64)
+    np.cumsum(np.bincount(bucket, minlength=fanout), out=boundaries[1:])
     gathered = {name: values[order] for name, values in columns.items()}
     return [
         {name: values[boundaries[index]:boundaries[index + 1]]
@@ -320,12 +329,43 @@ def restore_canonical_order(columns: ArrayMap, *,
     build_pos = np.asarray(columns[ORD_BUILD])
     probe_pos = np.asarray(columns[ORD_PROBE])
     if output_order == "probe":
-        order = np.lexsort((build_pos, probe_pos))
+        order = _major_minor_order(probe_pos, build_pos)
     else:
-        order = np.lexsort((probe_pos, build_pos))
+        order = _major_minor_order(build_pos, probe_pos)
     return {name: np.asarray(values)[order]
             for name, values in columns.items()
             if not is_order_column(name)}
+
+
+def _major_minor_order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """The permutation ``np.lexsort((minor, major))``, in O(n) if possible.
+
+    Positions are non-negative row ids.  When every major position is
+    unique (every probe row of a unique-key build matches at most once),
+    scattering the row ids by major position and dropping the empty slots
+    is that permutation; duplicate major positions fall back to the sort.
+    """
+    if len(major):
+        slots = np.full(int(major.max()) + 1, -1, dtype=np.int64)
+        slots[major] = np.arange(len(major), dtype=np.int64)
+        order = slots[slots >= 0]
+        if len(order) == len(major):
+            return order
+    return np.lexsort((minor, major))
+
+
+def with_join_key(columns: Mapping[str, np.ndarray],
+                  keys: Sequence[str]) -> ArrayMap:
+    """``columns`` as arrays plus the folded join key as ``__key``.
+
+    The partitioned joins partition and match on ``__key``.  A co-partition
+    of the co-processed join already carries it (``keys == ["__key"]``)
+    and is not folded again.
+    """
+    columns = {name: np.asarray(values) for name, values in columns.items()}
+    if list(keys) != ["__key"]:
+        columns["__key"] = composite_key(columns, keys)
+    return columns
 
 
 def _validate_output_order(output_order: str | None) -> None:
@@ -373,7 +413,7 @@ def cpu_radix_join_kernel(
     ``output_order`` restores the canonical join output order
     (``"probe"``-major by default, ``"build"``-major for joins whose build
     side is the logical right input) by threading original-position
-    bookkeeping columns through the passes and sorting the match output
+    bookkeeping columns through the passes and reordering the match output
     once at the end; ``None`` leaves the bucket-major implementation order
     (the co-processed join canonicalizes at its own level).  Stats are
     identical for every setting.
@@ -387,10 +427,8 @@ def cpu_radix_join_kernel(
     if morsel_rows is not None:
         build = MorselSink().extend(iter_morsels(build, morsel_rows)).finish()
         probe = MorselSink().extend(iter_morsels(probe, morsel_rows)).finish()
-    build = {name: np.asarray(values) for name, values in build.items()}
-    probe = {name: np.asarray(values) for name, values in probe.items()}
-    build = dict(build, __key=composite_key(build, build_keys))
-    probe = dict(probe, __key=composite_key(probe, probe_keys))
+    build = with_join_key(build, build_keys)
+    probe = with_join_key(probe, probe_keys)
     build_rows = columns_num_rows(build)
     probe_rows = columns_num_rows(probe)
     if output_order is not None:

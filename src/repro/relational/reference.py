@@ -74,8 +74,10 @@ def join_indices(left_keys: list[np.ndarray],
     """All (left, right) index pairs whose composite keys are equal.
 
     The semantic reference for every join algorithm in
-    :mod:`repro.operators`.  Vectorized via the shared sort + binary-search
-    matcher in :mod:`repro.relational.keys`; pair order (by right index,
+    :mod:`repro.operators`.  Vectorized via the sort + binary-search
+    :func:`~repro.relational.keys.match_indices` — deliberately not the
+    engine's direct-address ``JoinBuildIndex``, so the plan fuzzer checks
+    the engine against code it does not share; pair order (by right index,
     ties by ascending left index) is identical to the historical
     dictionary-based implementation, which survives as
     :func:`join_indices_dict` — the cross-check oracle for small inputs.
