@@ -75,6 +75,13 @@ def _best_wall(repeat: int, run) -> tuple[float, object]:
     return best, value
 
 
+def _morsel_knob(args: argparse.Namespace) -> dict:
+    """``--morsel-rows`` as engine kwargs; omitted = the engine default."""
+    if args.morsel_rows is None:
+        return {}
+    return {"morsel_rows": args.morsel_rows}
+
+
 def suite_tpch(args: argparse.Namespace, topology) -> dict:
     """The TPC-H execution suite: every query in every mode."""
     dataset = generate_tpch(args.sf, seed=args.seed)
@@ -84,15 +91,8 @@ def suite_tpch(args: argparse.Namespace, topology) -> dict:
     # served warm — not even between queries/modes of one pass — and the
     # wall-clock numbers stay comparable with pre-cache history entries.
     # Suite "tpch_warm" measures the warm repeated-query path.
-    if args.morsel_rows is not None:
-        # 0 disables batching (whole-column packets); anything else is the
-        # morsel granularity.  Leaving the flag off uses the engine default.
-        engine = HAPEEngine(topology, morsel_rows=args.morsel_rows or None,
-                            cache_budget_bytes=0,
-                            pipeline_fusion=args.fusion)
-    else:
-        engine = HAPEEngine(topology, cache_budget_bytes=0,
-                            pipeline_fusion=args.fusion)
+    engine = HAPEEngine(topology, cache_budget_bytes=0,
+                        **_morsel_knob(args))
     engine.register_dataset(dataset.tables, replace=True)
     queries = all_queries(dataset)
 
@@ -124,11 +124,7 @@ def suite_tpch_warm(args: argparse.Namespace, topology) -> dict:
     to the cold pass (they must — costing never observes the cache).
     """
     dataset = generate_tpch(args.sf, seed=args.seed)
-    if args.morsel_rows is not None:
-        engine = HAPEEngine(topology, morsel_rows=args.morsel_rows or None,
-                            pipeline_fusion=args.fusion)
-    else:
-        engine = HAPEEngine(topology, pipeline_fusion=args.fusion)
+    engine = HAPEEngine(topology, **_morsel_knob(args))
     engine.register_dataset(dataset.tables, replace=True)
     queries = all_queries(dataset)
 
@@ -351,23 +347,20 @@ def suite_stats(args: argparse.Namespace) -> dict:
 def suite_mem(args: argparse.Namespace, topology) -> dict:
     """Peak intermediate memory of TPC-H Q5 hybrid (``tracemalloc``).
 
-    The memory acceptance benchmark of the morsel/fusion line of work:
+    The memory acceptance benchmark of morsel-driven fused execution:
     executes Q5 in hybrid mode at ``--mem-sf`` (default 0.2, the scale the
-    PR 2 and PR 4 figures quote) under three engine configurations —
-    whole-column packets, morsel-driven batching, and morsel-driven
-    batching with pipeline fusion — reporting the tracemalloc peak of each
-    execution alongside wall-clock and simulated seconds.  Cross-query
-    caching is disabled so every run measures the cold intermediate
-    footprint, and simulated seconds must be identical across the three
-    variants (the knobs are wall-clock/working-set only).
+    earlier BENCH entries quote) at the default morsel size and at a
+    smaller one, reporting the tracemalloc peak of each execution
+    alongside wall-clock and simulated seconds.  Cross-query caching is
+    disabled so every run measures the cold intermediate footprint, and
+    simulated seconds must be identical across the variants (morsel size
+    is wall-clock/working-set only).
     """
     dataset = generate_tpch(args.mem_sf, seed=args.seed)
     query = build_query("Q5", dataset)
     variants = {
-        "whole_column_packets": {"morsel_rows": None,
-                                 "pipeline_fusion": False},
-        "morsels": {"pipeline_fusion": False},
-        "morsels_fused": {"pipeline_fusion": True},
+        "morsels_fused": {},
+        "morsels_fused_64ki": {"morsel_rows": 1 << 16},
     }
     results: dict[str, dict] = {}
     for name, knobs in variants.items():
@@ -991,14 +984,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeat", type=int, default=3,
                         help="wall-clock measurements take the best of N runs")
     parser.add_argument("--morsel-rows", type=int, default=None,
-                        help="morsel granularity for the TPC-H execution "
-                             "suite (0 = whole-column packets; omit for the "
-                             "engine default)")
-    parser.add_argument("--fusion", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="pipeline-fused morsel streaming for the TPC-H "
-                             "execution suites (--no-fusion to materialize "
-                             "at every plan node)")
+                        help="morsel granularity (a positive row count) for "
+                             "the TPC-H execution suites; omit for the "
+                             "engine default")
     parser.add_argument("--mem-sf", type=float, default=0.2,
                         help="TPC-H scale factor for the peak-memory suite")
     parser.add_argument("--serve-passes", type=int, default=2,
@@ -1105,7 +1093,7 @@ def main(argv: list[str] | None = None) -> int:
         "git_revision": _git_revision(),
         "python": platform.python_version(),
         "args": {"sf": args.sf, "seed": args.seed, "repeat": args.repeat,
-                 "morsel_rows": args.morsel_rows, "fusion": args.fusion,
+                 "morsel_rows": args.morsel_rows,
                  "mem_sf": args.mem_sf, "serve_passes": args.serve_passes},
         "suites": suites,
     }

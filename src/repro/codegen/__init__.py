@@ -1,12 +1,5 @@
-"""Just-in-time code generation: pipelines and per-device back-ends."""
+"""Just-in-time pipelines: extraction and fused-chain classification."""
 
-from .backend import (
-    CompiledKernel,
-    CPUBackend,
-    DeviceProvider,
-    GPUBackend,
-    provider_for,
-)
 from .pipeline import (
     Pipeline,
     break_into_pipelines,
@@ -15,15 +8,10 @@ from .pipeline import (
     is_fused_probe,
     is_fusion_passthrough,
     is_pipeline_breaker,
-    is_streaming_operator,
     pipelines_per_device,
 )
 
 __all__ = [
-    "CompiledKernel",
-    "CPUBackend",
-    "DeviceProvider",
-    "GPUBackend",
     "Pipeline",
     "break_into_pipelines",
     "chain_source",
@@ -31,7 +19,5 @@ __all__ = [
     "is_fused_probe",
     "is_fusion_passthrough",
     "is_pipeline_breaker",
-    "is_streaming_operator",
     "pipelines_per_device",
-    "provider_for",
 ]

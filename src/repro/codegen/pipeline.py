@@ -8,21 +8,13 @@ producing output (hash-table builds, aggregations, sorts) and the
 HetExchange operators, which hand packets to another device or degree of
 parallelism.
 
-The same breaker/non-breaker split drives the morsel pipeline: everything
-upstream of a pipeline's sink processes data morsel-at-a-time
-(:func:`is_streaming_operator`), while the sink — if it is a breaker —
-consumes the whole morsel stream before emitting
-(:meth:`Pipeline.streaming_prefix`).
-
-Pipeline-fused streaming takes the same classification one step further:
-instead of each streaming operator materializing its full output batch
-before the next operator runs, a maximal chain of streaming operators
-(:func:`fused_chain`) is driven morsel-at-a-time end to end — each morsel
-flows through the *entire* chain before the next morsel is touched, and
-the batch only materializes at the fusion boundary (the breaker that
-consumes the chain).  Exchange operators are payload-transparent
-(:func:`is_fusion_passthrough`): they forward packets without looking at
-tuples, so a fused chain streams straight through them.  The hash join's
+The same breaker/non-breaker split drives execution: a maximal chain of
+streaming operators (:func:`fused_chain`) is driven morsel-at-a-time end
+to end — each morsel flows through the *entire* chain before the next
+morsel is touched, and the batch only materializes at the fusion boundary
+(the breaker that consumes the chain).  Exchange operators are
+payload-transparent (:func:`is_fusion_passthrough`): they forward packets
+without looking at tuples, so a fused chain streams straight through them.  The hash join's
 probe phase is streaming too (:func:`is_fused_probe`): once the build side
 is consumed, probe morsels match one at a time, so a fused chain can run
 *through* a non-partitioned join without materializing the join output.
@@ -42,7 +34,6 @@ from ..relational.physical import (
     PFilterProject,
     PhysicalOp,
     PJoin,
-    PScan,
     PSort,
     Router,
 )
@@ -70,37 +61,12 @@ class Pipeline:
         deps = f" (after {self.depends_on})" if self.depends_on else ""
         return f"pipeline#{self.pipeline_id}[{self.device.value}]{deps}: {chain}"
 
-    def streaming_prefix(self) -> list[PhysicalOp]:
-        """Operators of this pipeline that process data morsel-at-a-time.
-
-        Everything up to (and excluding) a breaker sink streams: a morsel
-        entering the pipeline flows through the whole prefix before the
-        next morsel is touched.  When the sink itself streams (e.g. a
-        filter-project feeding a parent pipeline), the prefix is the whole
-        pipeline.
-        """
-        if is_pipeline_breaker(self.sink_op):
-            return self.operators[:-1]
-        return list(self.operators)
-
 
 def is_pipeline_breaker(op: PhysicalOp) -> bool:
     """Operators that terminate the pipeline that produces their input."""
     if isinstance(op, (PAggregate, PSort, PJoin)):
         return True
     return op.is_exchange()
-
-
-def is_streaming_operator(op: PhysicalOp) -> bool:
-    """Operators that consume and produce morsels one at a time.
-
-    The complement of :func:`is_pipeline_breaker` plus the scan sources:
-    scans emit morsels, filter-projects transform them row-locally.
-    Exchange operators also forward packets as they arrive, but they end
-    the producing pipeline (a new degree of parallelism starts), so they
-    are classified as breakers for extraction purposes.
-    """
-    return isinstance(op, (PScan, PFilterProject))
 
 
 def is_fusion_passthrough(op: PhysicalOp) -> bool:

@@ -43,16 +43,16 @@ because memo entries hold fully reassembled batches, never partial streams.
 Pipeline-fused streaming
 ------------------------
 
-With ``ExecutorOptions.pipeline_fusion`` on (the default, surfaced as the
-``pipeline_fusion`` knob on :class:`~repro.engine.session.HAPEEngine`),
-morsels do not materialize a full batch at every plan node: maximal chains
+Morsels do not materialize a full batch at every plan node: maximal chains
 of streaming operators (scan source -> filter/project -> exchange routing
 -> non-partitioned join probes, identified by
 :func:`~repro.codegen.pipeline.fused_chain`) are driven end to end — each
 source morsel flows through the *whole* chain before the next one is
 carved, and only the chain's boundary batch (the input of the breaker that
 consumes it) is ever reassembled.  Intermediate filter/project and join
-outputs exist one morsel at a time.
+outputs exist one morsel at a time.  This is the engine's only execution
+configuration, matching the paper's JIT engine, which compiles every
+pipeline into one fused kernel.
 
 Fusion requires *memo-aware deferral*: an operator whose output is never
 materialized cannot be memoized (or session-cached) as a standalone batch.
@@ -62,16 +62,16 @@ key of the chain's top operator with a fused-chain tuning marker, storing
 the boundary batch *plus* the per-stage stats records needed to replay
 every stage's cost on warm runs.  Subplans that occur more than once in a
 plan are sharing points and are never deferred (:meth:`Executor._defer_ok`
-cuts the chain there), which preserves single evaluation; and because cost
-charging is replayed per stage from the recorded stats in exactly the
-unfused order, simulated seconds, device busy times and link bytes are
-bit-identical whether fusion is on or off, warm or cold.  Like
-``morsel_rows``, the knob is wall-clock/working-set only.
+cuts the chain there); they, the plan root, swapped and partitioned joins
+and aggregates run through the standalone per-node path, which preserves
+single evaluation.  Because cost charging is replayed per stage from the
+recorded stats in exactly the per-node order, simulated seconds, device
+busy times and link bytes are bit-identical to per-node execution, warm or
+cold (``tests/test_invariants.py`` pins them).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence, TypeVar
 
@@ -169,7 +169,7 @@ def plan_slots(plan: PhysicalOp) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class ExecutorOptions:
-    """Execution knobs (exposed for ablation benchmarks)."""
+    """Execution knobs of one executor (and of the session around it)."""
 
     #: Extra fractional cost charged when a pipeline spans CPUs and GPUs,
     #: covering packet routing, pinned staging buffers and synchronization.
@@ -178,25 +178,16 @@ class ExecutorOptions:
     hybrid_join_overhead: float = 0.30
     #: Enforce GPU memory capacity when placing join hash tables.
     enforce_gpu_memory: bool = True
-    #: Rows per morsel for kernel evaluation; ``None`` disables batching
-    #: (whole-column packets).  Wall-clock/working-set only — simulated
-    #: seconds are identical for every setting.
-    morsel_rows: int | None = DEFAULT_MORSEL_ROWS
+    #: Rows per morsel for kernel evaluation, a positive int.
+    #: Wall-clock/working-set only — simulated seconds are identical for
+    #: every setting.
+    morsel_rows: int = DEFAULT_MORSEL_ROWS
     #: Byte budget of the session-lifetime cross-query kernel cache
     #: (:mod:`repro.engine.querycache`): ``0`` disables cross-query
     #: caching, ``None`` lifts the bound.  Wall-clock only — cost is
     #: charged per occurrence regardless of cache hits, so simulated
     #: seconds are identical for every setting.
     cache_budget_bytes: int | None = DEFAULT_CACHE_BUDGET_BYTES
-    #: Victim-selection policy of the query cache: ``"lru"`` (default) or
-    #: ``"cost"`` (evict the lowest recompute-cost-per-byte entry first).
-    #: Wall-clock only, like the budget.
-    cache_eviction: str = "lru"
-    #: Drive maximal chains of streaming operators morsel-at-a-time end to
-    #: end, materializing only at fusion boundaries (breaker inputs).
-    #: Wall-clock/working-set only — outputs, stats and simulated seconds
-    #: are bit-identical with fusion on or off.
-    pipeline_fusion: bool = True
     #: Worker threads driving fused-chain morsel streams and radix
     #: partition passes: ``1`` = run inline (the exact single-threaded
     #: path), ``"auto"`` = the machine's CPU count, ``None`` = defer to
@@ -221,19 +212,19 @@ class MorselScheduler:
     plan node whose kernel is about to run, :meth:`grant` decides the
     morsel size the operator must honor and records how many morsels the
     node's input batches will be carved into.  The per-morsel loops live in
-    the operator kernels (they own the data path); the scheduler owns the
-    granularity policy and the bookkeeping that
-    :attr:`ExecutionResult.morsels_dispatched` reports.
+    the operator kernels and :meth:`Executor._run_fused_chain` (they own
+    the data path); the scheduler owns the granularity and the bookkeeping
+    that :attr:`ExecutionResult.morsels_dispatched` reports.
 
-    There is deliberately no worker pool here: "parallel workers" exist
-    only inside the cost model's device clocks, so scheduling morsels onto
-    simulated devices would double-count what ``estimate_*`` already
-    prices.  Morsels bound the *real* working set of kernel evaluation;
-    simulated seconds never observe them.
+    The scheduler hands out sizes, not threads: the executor's
+    :class:`~repro.engine.workers.WorkerPool` runs the morsels.  Neither is
+    visible to the cost model — "parallel workers" on the simulated devices
+    are priced by ``estimate_*``, so morsels bound the *real* working set
+    of kernel evaluation and simulated seconds never observe them.
     """
 
-    #: Rows per morsel granted to kernels; ``None`` = whole-column packets.
-    morsel_rows: int | None = DEFAULT_MORSEL_ROWS
+    #: Rows per morsel granted to kernels.
+    morsel_rows: int = DEFAULT_MORSEL_ROWS
     #: Morsels carved across all kernel evaluations since the last reset.
     morsels_dispatched: int = 0
 
@@ -241,7 +232,7 @@ class MorselScheduler:
         """Zero the per-query counters (one :meth:`Executor.execute`)."""
         self.morsels_dispatched = 0
 
-    def grant(self, *batch_rows: int) -> int | None:
+    def grant(self, *batch_rows: int) -> int:
         """Morsel size for a kernel over the given input batch sizes.
 
         Call once per actual kernel evaluation (inside the memo, so cached
@@ -249,8 +240,6 @@ class MorselScheduler:
         kernel will carve: one for a unary operator, build and probe for a
         join.
         """
-        if self.morsel_rows is None:
-            return None
         for num_rows in batch_rows:
             self.morsels_dispatched += morsel_count(num_rows, self.morsel_rows)
         return self.morsel_rows
@@ -310,7 +299,7 @@ class _PassthroughStage:
     Routers, mem-moves and device crossings never inspect tuple payloads,
     so the stream flows straight through; the stage only exists so the
     replay can charge the exchange's control/transfer cost at exactly the
-    position the unfused executor would.
+    position the per-node path would.
     """
 
     __slots__ = ("node",)
@@ -357,7 +346,7 @@ class _FilterProjectStage:
     """Streaming filter/project stage of a fused chain.
 
     Transforms one morsel at a time with the exact per-morsel body the
-    unfused kernel uses (:func:`filter_project_morsel`) while accumulating
+    standalone kernel uses (:func:`filter_project_morsel`) while accumulating
     the whole-batch :class:`FilterProjectStats` — input rows and touched
     bytes are additive over morsels, so the record (and therefore the
     replayed cost) is bit-identical to a standalone kernel evaluation.
@@ -457,11 +446,11 @@ class _HashJoinProbeStage:
         self.probe_rows = self.probe_nbytes = self.out_nbytes = 0
         self.out_rows = 0
         # GPU capacity is checked *before* any streaming work, exactly
-        # like the unfused path checks before evaluating the kernel: an
+        # like the per-node path checks before evaluating the kernel: an
         # oversized build (the Q9 failure mode) raises without
         # materializing — or caching — the boundary batch.  The replay
         # repeats the check (it charges no clock and peaks no higher), so
-        # warm runs enforce it identically to unfused warm runs.
+        # warm runs enforce it identically to per-node warm runs.
         if executor.options.enforce_gpu_memory:
             for kind in {device.kind for device in self.devices}:
                 representative = executor._representative(self.devices, kind)
@@ -532,8 +521,7 @@ class ExecutionResult:
     plan: PhysicalOp
     #: Morsels the scheduler dispatched to kernels for this query: one per
     #: input batch that fits a single morsel, more when batches stream,
-    #: zero when batching is disabled (``morsel_rows=None``) and for
-    #: kernel evaluations the session cache served.
+    #: zero for kernel evaluations the session cache served.
     morsels_dispatched: int = 0
     #: Session-cache activity attributable to this query: hits/misses of
     #: distinct subplans, evictions during the query, plus invalidations
@@ -567,20 +555,19 @@ class Executor:
         self.topology = topology
         self.catalog = catalog
         self.options = options or ExecutorOptions()
-        self.scheduler = MorselScheduler(morsel_rows=None)
+        self.scheduler = MorselScheduler()
         # Routes through the validating knobs so an invalid morsel_rows or
         # cache_budget_bytes in the options fails here, not mid-query.
         self.configure_morsels(self.options.morsel_rows)
         self.configure_workers(self.options.workers)
         if query_cache is not None:
             # A server-owned shared cache (multi-tenant serving): its owner
-            # wires catalog invalidation exactly once and owns the budget /
-            # eviction-policy knobs; the options mirror its settings.
+            # wires catalog invalidation exactly once and owns the budget
+            # knob; the options mirror its setting.
             self.query_cache = query_cache
             self._owns_cache = False
             self.options = replace(
-                self.options, cache_budget_bytes=query_cache.budget_bytes,
-                cache_eviction=query_cache.policy)
+                self.options, cache_budget_bytes=query_cache.budget_bytes)
         else:
             #: Session-lifetime cross-query kernel cache; subscribes to the
             #: catalog so table replacement/drop invalidates exactly the
@@ -588,7 +575,6 @@ class Executor:
             self.query_cache = QueryCache(budget_bytes=None)
             self._owns_cache = True
             self.configure_cache(self.options.cache_budget_bytes)
-            self.configure_eviction(self.options.cache_eviction)
             catalog.subscribe(self.query_cache.invalidate_table)
         self._cache_mark = self.query_cache.counters()
         #: Largest intermediate batch (bytes of one operator's output
@@ -614,10 +600,17 @@ class Executor:
         self._trace_spans: list[Span] | None = None
         self._trace_kernel: dict[int, tuple[str, int]] = {}
 
-    def configure_morsels(self, morsel_rows: int | None) -> None:
-        """Re-tune the morsel granularity (the ``morsel_rows`` knob)."""
-        if morsel_rows is not None and morsel_rows <= 0:
-            raise ValueError("morsel_rows must be positive or None")
+    def configure_morsels(self, morsel_rows: int) -> None:
+        """Re-tune the morsel granularity (the ``morsel_rows`` knob).
+
+        ``morsel_rows`` must be a positive int; anything else (a bool, a
+        float, a string, ``None``) raises ``ValueError``.
+        """
+        if isinstance(morsel_rows, bool) or not isinstance(morsel_rows, int):
+            raise ValueError(
+                f"morsel_rows must be a positive int, got {morsel_rows!r}")
+        if morsel_rows < 1:
+            raise ValueError(f"morsel_rows must be >= 1, got {morsel_rows}")
         self.options = replace(self.options, morsel_rows=morsel_rows)
         self.scheduler.morsel_rows = morsel_rows
 
@@ -644,40 +637,12 @@ class Executor:
         Shrinking evicts entries down to the new budget immediately;
         ``0`` disables cross-query caching, ``None`` lifts the bound.
         Sessions sharing a server-owned cache cannot re-tune it here —
-        budget and policy belong to the server.
+        the budget belongs to the server.
         """
         self._require_cache_ownership()
         self.query_cache.set_budget(cache_budget_bytes)
         self.options = replace(self.options,
                                cache_budget_bytes=self.query_cache.budget_bytes)
-
-    def configure_eviction(self, policy: str) -> None:
-        """Re-tune cache victim selection (the ``cache_eviction`` knob).
-
-        ``"lru"`` keeps the most recently used entries, ``"cost"`` keeps
-        the highest recompute-cost-per-byte entries.  Takes effect for
-        future evictions; retained entries are untouched.  Wall-clock only
-        — like the budget, the policy can never change a simulated second.
-        Sessions sharing a server-owned cache tune it on the server.
-        """
-        self._require_cache_ownership()
-        self.query_cache.set_policy(policy)
-        self.options = replace(self.options,
-                               cache_eviction=self.query_cache.policy)
-
-    def configure_fusion(self, enabled: bool) -> None:
-        """Re-tune pipeline-fused streaming (the ``pipeline_fusion`` knob).
-
-        Takes effect for the next :meth:`execute`; results and simulated
-        seconds are bit-identical either way, only the peak working set of
-        intermediate batches changes.  Cached kernel results stay valid —
-        fused and unfused evaluations use distinct cache entries (the
-        fused-chain tuning marker), so retuning mid-session can only cause
-        cold misses, never wrong reuse.
-        """
-        if not isinstance(enabled, bool):
-            raise ValueError("pipeline_fusion must be a bool")
-        self.options = replace(self.options, pipeline_fusion=enabled)
 
     def configure_tracing(self, enabled: bool) -> None:
         """Re-tune operator-span tracing (the ``tracing`` knob).
@@ -695,8 +660,8 @@ class Executor:
     def _require_cache_ownership(self) -> None:
         if not getattr(self, "_owns_cache", True):
             raise ValueError(
-                "this session shares a server-owned query cache; tune the "
-                "budget and eviction policy on the owning QueryServer")
+                "this session shares a server-owned query cache; tune its "
+                "budget on the owning QueryServer")
 
     # ------------------------------------------------------------------
     def execute(self, plan: PhysicalOp) -> ExecutionResult:
@@ -827,20 +792,14 @@ class Executor:
             if result is None:
                 status = "miss"
                 morsels_before = self.scheduler.morsels_dispatched
-                started = time.perf_counter()
                 result = run()
                 morsel_delta = (self.scheduler.morsels_dispatched
                                 - morsels_before)
                 if self.query_cache.enabled:
-                    # The measured evaluation time is the recompute-cost
-                    # signal of the "cost" eviction policy; it is recorded
-                    # for every entry so retuning the policy mid-session
-                    # has full information.
                     self.query_cache.put(
                         session_key, result,
                         nbytes=0 if zero_copy else result_nbytes(result),
-                        tables=referenced_tables(node),
-                        cost_seconds=time.perf_counter() - started)
+                        tables=referenced_tables(node))
             else:
                 status = "hit"
             self._query_memo.setdefault(key, {})[tuning] = result
@@ -888,25 +847,24 @@ class Executor:
         """Execute a breaker's input, fusing the streaming chain below it.
 
         Drop-in replacement for :meth:`_execute` at every point where an
-        operator consumes a child batch.  When fusion is off or ``node``
-        starts no fusable chain this *is* ``_execute``; otherwise the
-        maximal chain below ``node`` runs as one streamed evaluation:
+        operator consumes a child batch.  When ``node`` starts no fusable
+        chain this *is* ``_execute``; otherwise the maximal chain below
+        ``node`` runs as one streamed evaluation:
 
         1. chain assembly walks top-down, executing the build side of
            every fused join (and finally the chain's source) exactly where
-           the unfused recursion would — so all their charges land on the
-           simulated clocks in the unfused order;
+           the per-node recursion would — so all their charges land on the
+           simulated clocks in the per-node order;
         2. the functional stream runs inside the kernel memo, keyed at
            fusion-boundary granularity: the chain top's structural key
            plus a fused-chain tuning marker, storing the boundary batch
            and the per-stage stats records (warm runs skip the stream and
            reuse both);
         3. the per-stage costs are replayed bottom-up from the stats —
-           identical charges, in the identical order, as the unfused
-           per-node execution.
+           identical charges, in the identical order, as per-node
+           execution.
         """
-        chain = (fused_chain(node, self._defer_ok)
-                 if self.options.pipeline_fusion else [])
+        chain = fused_chain(node, self._defer_ok)
         if not chain:
             return self._execute(node)
         stages: list = []
@@ -1006,7 +964,7 @@ class Executor:
         """Record one operator span (no-op unless this query traces).
 
         Called exclusively from the cost-charging methods — which run on
-        the query thread in canonical plan order for both the unfused
+        the query thread in canonical plan order for both the per-node
         path and the fused chains' replay — so the span list is
         byte-identical at every worker count.
         """
@@ -1018,7 +976,7 @@ class Executor:
             location=location, input_bytes=int(input_bytes), attrs=attrs))
 
     # ------------------------------------------------------------------
-    # Per-operator cost charging (shared by the unfused execution path
+    # Per-operator cost charging (shared by the per-node execution path
     # and the fused chains' replay — one code path, identical clocks)
     # ------------------------------------------------------------------
     def _charge_router(self, node: Router, child: _StageMeta) -> _StageMeta:

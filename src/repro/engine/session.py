@@ -37,8 +37,8 @@ from .optimizer import Optimizer, OptimizerOptions
 from .querycache import CacheCounters, QueryCacheStats
 
 #: Sentinel distinguishing "not passed" from an explicit ``None`` (which
-#: means "whole-column packets, no batching" for ``morsel_rows`` and
-#: "unlimited" for ``cache_budget_bytes``).
+#: means "unlimited" for ``cache_budget_bytes`` and "read the
+#: ``REPRO_WORKERS`` environment variable" for ``workers``).
 _UNSET = object()
 
 
@@ -129,10 +129,11 @@ class HAPEEngine:
     morsel_rows:
         Granularity of morsel-driven batched execution: operator kernels
         consume their inputs in slices of at most this many rows, which
-        bounds the working set of kernel evaluation.  ``None`` disables
-        batching (whole-column packets).  Simulated seconds are identical
-        for every setting; only real wall-clock/memory behavior changes.
-        Overrides ``executor_options.morsel_rows`` when both are given.
+        bounds the working set of kernel evaluation.  A positive int;
+        anything else raises ``ValueError``.  Simulated seconds are
+        identical for every setting; only real wall-clock/memory behavior
+        changes.  Overrides ``executor_options.morsel_rows`` when both are
+        given.
     cache_budget_bytes:
         Retention budget of the session's cross-query kernel cache, in
         bytes of pinned result columns (LRU eviction).  ``0`` disables
@@ -140,18 +141,6 @@ class HAPEEngine:
         ``morsel_rows`` this is wall-clock only — simulated seconds are
         identical for every setting.  Overrides
         ``executor_options.cache_budget_bytes`` when both are given.
-    pipeline_fusion:
-        Stream morsels through maximal chains of streaming operators
-        (scan -> filter/project -> exchange routing -> hash-join probes)
-        without materializing a batch at every plan node; batches only
-        form at fusion boundaries (aggregate and join-build inputs).  On
-        by default.  Wall-clock/working-set only — results and simulated
-        seconds are bit-identical with fusion on or off.  Overrides
-        ``executor_options.pipeline_fusion`` when both are given.
-    cache_eviction:
-        Victim-selection policy of the query cache: ``"lru"`` (default)
-        or ``"cost"`` (evict the lowest recompute-cost-per-byte entry
-        first).  Wall-clock only, like the budget.
     workers:
         Worker threads driving fused-chain morsel streams and radix
         partition passes (:mod:`repro.engine.workers`): ``1`` runs
@@ -176,17 +165,15 @@ class HAPEEngine:
         A :class:`~repro.server.QueryServer` passes its *shared* catalog
         and :class:`~repro.server.SharedQueryCache` here so tenant
         sessions see one table registry and reuse each other's warm
-        kernel results; such sessions cannot re-tune the cache knobs
-        (budget and policy belong to the server).
+        kernel results; such sessions cannot re-tune the cache budget
+        (it belongs to the server).
     """
 
     def __init__(self, topology: Topology | None = None, *,
                  optimizer_options: OptimizerOptions | None = None,
                  executor_options: ExecutorOptions | None = None,
-                 morsel_rows: int | None = _UNSET,  # type: ignore[assignment]
+                 morsel_rows: int = _UNSET,  # type: ignore[assignment]
                  cache_budget_bytes: int | None = _UNSET,  # type: ignore[assignment]
-                 pipeline_fusion: bool = _UNSET,  # type: ignore[assignment]
-                 cache_eviction: str = _UNSET,  # type: ignore[assignment]
                  workers: int | str | None = _UNSET,  # type: ignore[assignment]
                  tracing: bool = _UNSET,  # type: ignore[assignment]
                  catalog: Catalog | None = None,
@@ -210,10 +197,6 @@ class HAPEEngine:
             self.executor.configure_morsels(morsel_rows)
         if cache_budget_bytes is not _UNSET:
             self.executor.configure_cache(cache_budget_bytes)
-        if pipeline_fusion is not _UNSET:
-            self.executor.configure_fusion(pipeline_fusion)
-        if cache_eviction is not _UNSET:
-            self.executor.configure_eviction(cache_eviction)
         if workers is not _UNSET:
             self.executor.configure_workers(workers)
         if tracing is not _UNSET:
@@ -223,8 +206,8 @@ class HAPEEngine:
     # Session knobs
     # ------------------------------------------------------------------
     @property
-    def morsel_rows(self) -> int | None:
-        """Rows per morsel for kernel evaluation (``None`` = whole column).
+    def morsel_rows(self) -> int:
+        """Rows per morsel for kernel evaluation (a positive int).
 
         Assigning re-tunes the executor in place, so the knob can be swept
         within one session; results and simulated timings are unaffected.
@@ -235,7 +218,7 @@ class HAPEEngine:
         return self.executor.options.morsel_rows
 
     @morsel_rows.setter
-    def morsel_rows(self, value: int | None) -> None:
+    def morsel_rows(self, value: int) -> None:
         self.executor.configure_morsels(value)
 
     @property
@@ -252,40 +235,6 @@ class HAPEEngine:
     @cache_budget_bytes.setter
     def cache_budget_bytes(self, value: int | None) -> None:
         self.executor.configure_cache(value)
-
-    @property
-    def cache_eviction(self) -> str:
-        """Victim-selection policy of the query cache (default ``"lru"``).
-
-        ``"lru"`` discards the least-recently-used entry when the byte
-        budget overflows; ``"cost"`` discards the entry with the lowest
-        measured recompute cost per byte, so small-but-expensive results
-        (a filtered join build) outlive large-but-cheap ones.  Assigning
-        re-tunes the cache in place; results and simulated timings are
-        unaffected by either policy.
-        """
-        return self.executor.options.cache_eviction
-
-    @cache_eviction.setter
-    def cache_eviction(self, value: str) -> None:
-        self.executor.configure_eviction(value)
-
-    @property
-    def pipeline_fusion(self) -> bool:
-        """Whether streaming chains fuse across plan nodes (default on).
-
-        Assigning re-tunes the executor in place, so fusion can be toggled
-        per query within one session; results and simulated timings are
-        bit-identical either way — only the peak size of intermediate
-        batches changes.  Cached kernel results survive retuning: fused
-        and unfused evaluations use distinct cache entries, so a toggle
-        can cause cold misses but never wrong reuse.
-        """
-        return self.executor.options.pipeline_fusion
-
-    @pipeline_fusion.setter
-    def pipeline_fusion(self, value: bool) -> None:
-        self.executor.configure_fusion(value)
 
     @property
     def workers(self) -> int:

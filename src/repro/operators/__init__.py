@@ -32,7 +32,6 @@ counters to prove the single-evaluation property.
 """
 
 from .aggregate import (
-    AggregateMorselSink,
     AggregateStats,
     estimate_hash_aggregate,
     estimate_merge_partials,
@@ -57,7 +56,6 @@ from .exchange import (
     broadcast,
     device_crossing_cost,
     mem_move,
-    route_morsels,
     zip_partitions,
 )
 from .filterproject import (
@@ -67,7 +65,6 @@ from .filterproject import (
     expression_op_count,
     filter_project_kernel,
     filter_project_morsel,
-    filter_project_morsels,
     referenced_columns,
     scan_cost,
     touched_bytes,
@@ -114,7 +111,6 @@ from .radix import (
 )
 
 __all__ = [
-    "AggregateMorselSink",
     "AggregateStats",
     "ArrayMap",
     "CoProcessingPlan",
@@ -154,7 +150,6 @@ __all__ = [
     "expression_op_count",
     "filter_project_kernel",
     "filter_project_morsel",
-    "filter_project_morsels",
     "gpu_partitioned_join",
     "gpu_partitioned_join_kernel",
     "hash_aggregate",
@@ -178,7 +173,6 @@ __all__ = [
     "record_kernel_invocation",
     "referenced_columns",
     "reset_kernel_counts",
-    "route_morsels",
     "scan_cost",
     "target_partition_bytes",
     "touched_bytes",

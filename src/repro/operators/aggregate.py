@@ -15,16 +15,17 @@ same work on any device from an :class:`AggregateStats` record alone.
 
 Under the morsel contract the aggregate is a pipeline *breaker*: its build
 phase consumes every input morsel before a single output row is emitted.
-:class:`AggregateMorselSink` is that surface — it accumulates the stream
-(zero-copy when the morsels carve one resident batch) and finalizes with
-one vectorized aggregation, which keeps the floating-point accumulation
-order, and therefore every output bit, identical to whole-column execution.
+:func:`hash_aggregate_kernel` accumulates the stream into a
+:class:`~repro.storage.morsel.MorselSink` (zero-copy when the morsels carve
+one resident batch) and finalizes with one vectorized aggregation, which
+keeps the floating-point accumulation order, and therefore every output
+bit, identical to whole-column execution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from ..hardware.costmodel import AccessProfile
 from ..hardware.device import Device
 from ..relational.expr import AggregateSpec
 from ..relational.keys import composite_key_map
-from ..storage.morsel import Morsel, MorselSink, iter_morsels
+from ..storage.morsel import MorselSink, iter_morsels
 from .base import (
     ArrayMap,
     OpCost,
@@ -152,37 +153,6 @@ def hash_aggregate_kernel(
                                           grand=not group_by))
     return result, AggregateStats(num_rows=num_rows,
                                   num_groups=len(unique_keys))
-
-
-class AggregateMorselSink:
-    """Build phase of the aggregate as a morsel consumer.
-
-    Producers push input morsels with :meth:`consume`; :meth:`finish` runs
-    the aggregation exactly once over the reassembled batch.  The sink is
-    the aggregate's pipeline-breaker surface: no output exists until the
-    last input morsel has been consumed.
-    """
-
-    def __init__(self, *, group_by: Sequence[str],
-                 aggregates: Sequence[AggregateSpec],
-                 phase: str = "complete") -> None:
-        self.group_by = list(group_by)
-        self.aggregates = list(aggregates)
-        self.phase = phase
-        self._sink = MorselSink()
-
-    def consume(self, morsel: Morsel) -> None:
-        self._sink.consume(morsel)
-
-    def extend(self, morsels: Iterable[Morsel]) -> "AggregateMorselSink":
-        self._sink.extend(morsels)
-        return self
-
-    def finish(self) -> tuple[ArrayMap, AggregateStats]:
-        """Aggregate the consumed stream; one kernel invocation."""
-        return hash_aggregate_kernel(
-            self._sink.finish(), group_by=self.group_by,
-            aggregates=self.aggregates, phase=self.phase)
 
 
 def hash_aggregate(columns: Mapping[str, np.ndarray], device: Device, *,

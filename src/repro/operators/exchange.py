@@ -5,10 +5,10 @@ on packets (:class:`~repro.storage.block.Block`) and never look at packet
 payloads — routing decisions use only packet metadata, which is exactly the
 property the data-packing trait guarantees.
 
-Exchange is a *streaming* stage of the morsel pipeline: a router forwards
-each morsel to a consumer the moment it arrives (:func:`route_morsels`),
-without waiting for — or ever holding — the whole batch.  Because exchange
-operators are payload-transparent, they are also *fusion pass-throughs*
+Exchange is a *streaming* stage of the morsel pipeline: a router decides
+from packet metadata alone, never waiting for — or holding — the whole
+batch.  Because exchange operators are payload-transparent, they are
+*fusion pass-throughs*
 (:func:`repro.codegen.pipeline.is_fusion_passthrough`): a pipeline-fused
 chain streams morsels straight through a router, mem-move or device
 crossing — the executor replays their control/transfer costs per stage
@@ -18,7 +18,7 @@ while the payload flows by untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from ..hardware.device import Device
 from ..hardware.topology import Topology
 from ..relational.physical import RoutingPolicy
 from ..storage.block import Block
-from ..storage.morsel import Morsel
 from .base import OpCost
 
 
@@ -97,22 +96,6 @@ class Router:
     def assignments(self) -> dict[str, int]:
         """Bytes assigned per consumer so far."""
         return dict(self.state.assigned_bytes)
-
-
-def route_morsels(router: Router, morsels: Iterable[Morsel], *,
-                  location: str) -> Iterator[tuple[Device, Morsel]]:
-    """Stream a morsel sequence through a router, one decision per morsel.
-
-    Each morsel is wrapped as a packet (metadata only, zero copy) and
-    assigned to a consumer as soon as it arrives — the streaming half of
-    the morsel contract for exchange operators.  Yields ``(device,
-    morsel)`` pairs in arrival order; the router's byte accounting
-    (:meth:`Router.assignments`) accumulates exactly as it would for
-    whole-batch packets.
-    """
-    for morsel in morsels:
-        device = router.route(morsel.to_block(location))
-        yield device, morsel
 
 
 def device_crossing_cost(device: Device) -> OpCost:

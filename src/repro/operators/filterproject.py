@@ -16,7 +16,7 @@ masks and expression temporaries never exceed one morsel).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from ..hardware.device import Device
 from ..relational.expr import Expr
-from ..storage.morsel import Morsel, concat_columns, iter_morsels
+from ..storage.morsel import concat_columns, iter_morsels
 from .base import (
     ArrayMap,
     OpCost,
@@ -142,22 +142,6 @@ def filter_project_morsel(
     return working
 
 
-def filter_project_morsels(
-        morsels: Iterable[Morsel], *,
-        predicate: Expr | None = None,
-        projections: Mapping[str, Expr] | None = None,
-) -> Iterator[ArrayMap]:
-    """Stream a morsel sequence through the fused filter/project.
-
-    Yields one output batch per input morsel; concatenating the outputs
-    equals the whole-batch result.  This is the streaming surface a morsel
-    scheduler (or a downstream streaming operator) consumes.
-    """
-    for morsel in morsels:
-        yield filter_project_morsel(morsel.columns, predicate=predicate,
-                                    projections=projections)
-
-
 def filter_project_kernel(
         columns: Mapping[str, np.ndarray], *,
         predicate: Expr | None = None,
@@ -189,9 +173,9 @@ def filter_project_kernel(
         return filter_project_morsel(columns, predicate=predicate,
                                      projections=projections), stats
 
-    parts = list(filter_project_morsels(
-        iter_morsels(columns, morsel_rows),
-        predicate=predicate, projections=projections))
+    parts = [filter_project_morsel(morsel.columns, predicate=predicate,
+                                   projections=projections)
+             for morsel in iter_morsels(columns, morsel_rows)]
     return concat_columns(parts), stats
 
 

@@ -340,9 +340,9 @@ class QueryServer:
     topology:
         The simulated hardware every tenant shares; defaults to the
         paper's testbed.
-    cache_budget_bytes / cache_eviction:
-        Retention budget and eviction policy of the server-owned
-        :class:`SharedQueryCache`.  Tenant sessions cannot re-tune them.
+    cache_budget_bytes:
+        Retention budget of the server-owned :class:`SharedQueryCache`
+        (LRU eviction).  Tenant sessions cannot re-tune it.
     occupancy_threshold:
         The scheduler's negligible-work cutoff: resources busy for less
         than this fraction of a query's makespan are not reserved.
@@ -400,7 +400,6 @@ class QueryServer:
 
     def __init__(self, topology: Topology | None = None, *,
                  cache_budget_bytes: int | None = None,
-                 cache_eviction: str = "lru",
                  occupancy_threshold: float = 0.10,
                  fault_plan: FaultPlan | None = None,
                  retry_policy: RetryPolicy | None = None,
@@ -413,10 +412,9 @@ class QueryServer:
         self.topology = topology if topology is not None else default_server()
         self.catalog = Catalog()
         if cache_budget_bytes is None:
-            self.query_cache = SharedQueryCache(policy=cache_eviction)
+            self.query_cache = SharedQueryCache()
         else:
-            self.query_cache = SharedQueryCache(cache_budget_bytes,
-                                                policy=cache_eviction)
+            self.query_cache = SharedQueryCache(cache_budget_bytes)
         # The one invalidation subscription for the whole server: tenant
         # sessions share this cache and must not subscribe it again.
         self.catalog.subscribe(self.query_cache.invalidate_table)

@@ -7,7 +7,6 @@ executed across the full engine configuration grid:
 
     device mode ∈ {cpu, gpu, hybrid}
   × morsel_rows ∈ {1, 7, engine default}
-  × pipeline_fusion ∈ {off, on}
   × workers ∈ {1, 2}
 
 with results compared *cell-exact and order-sensitive* (values, dtypes
@@ -60,7 +59,6 @@ SEED_BASE = int(os.environ.get("FUZZ_PLAN_SEED_BASE", "20260700"))
 
 MODES = ("cpu", "gpu", "hybrid")
 MORSEL_SETTINGS = (1, 7, DEFAULT_MORSEL_ROWS)
-FUSION_SETTINGS = (False, True)
 #: ``morsel_rows=1`` with two workers is the nastiest determinism case:
 #: every row is its own morsel, so worker completion order is maximally
 #: decoupled from canonical plan order.
@@ -235,14 +233,11 @@ def engine_grid():
     for aggressive in (False, True):
         options = (OptimizerOptions(small_build_rows=2)
                    if aggressive else None)
-        for fusion in FUSION_SETTINGS:
-            for morsel_rows in MORSEL_SETTINGS:
-                for workers in WORKER_SETTINGS:
-                    grid[(aggressive, fusion, morsel_rows,
-                          workers)] = HAPEEngine(
-                        default_server(), optimizer_options=options,
-                        morsel_rows=morsel_rows, pipeline_fusion=fusion,
-                        workers=workers)
+        for morsel_rows in MORSEL_SETTINGS:
+            for workers in WORKER_SETTINGS:
+                grid[(aggressive, morsel_rows, workers)] = HAPEEngine(
+                    default_server(), optimizer_options=options,
+                    morsel_rows=morsel_rows, workers=workers)
     return grid
 
 
@@ -334,10 +329,8 @@ class TestZeroRowEdges:
             assert all(len(values) == 0 for values in columns.values())
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("fusion", FUSION_SETTINGS)
-    def test_grand_aggregate_over_empty_input_matches_reference(self, mode,
-                                                                fusion):
-        engine = HAPEEngine(default_server(), pipeline_fusion=fusion)
+    def test_grand_aggregate_over_empty_input_matches_reference(self, mode):
+        engine = HAPEEngine(default_server())
         table = Table.from_arrays("empty_grand", {
             "k": np.arange(16, dtype=np.int64),
             "v": np.arange(16, dtype=np.int64) * 3,
@@ -370,8 +363,7 @@ class TestZeroRowEdges:
     @pytest.mark.parametrize("mode", MODES)
     def test_empty_morsel_stream_through_fused_join_chain(self, mode):
         """A filter removing every row, streamed through a fused chain."""
-        engine = HAPEEngine(default_server(), morsel_rows=3,
-                            pipeline_fusion=True)
+        engine = HAPEEngine(default_server(), morsel_rows=3)
         rng = np.random.default_rng(9)
         left = Table.from_arrays("fused_left", {
             "lk": rng.integers(0, 5, 40, dtype=np.int64),
@@ -411,10 +403,10 @@ def test_fuzzed_plan_matches_reference(engine_grid, stats_off_engines, seed):
                     f"plan:\n{case.plan.pretty()}")
     baseline_simulated: dict[str, float] = {}
     try:
-        for (_, fusion, morsel_rows, workers), engine in engines.items():
+        for (_, morsel_rows, workers), engine in engines.items():
             for mode in MODES:
                 result = engine.execute(case.plan, mode)
-                context = (f"{context_base}\nmode={mode} fusion={fusion} "
+                context = (f"{context_base}\nmode={mode} "
                            f"morsel_rows={morsel_rows} workers={workers}")
                 _assert_cell_exact(result.table, reference, context)
                 # Simulated seconds must agree across the whole grid too.

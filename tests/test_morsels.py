@@ -20,13 +20,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.codegen import break_into_pipelines, is_streaming_operator
 from repro.engine import HAPEEngine, Session
 from repro.hardware import default_server
 from repro.operators import (
-    AggregateMorselSink,
     HashJoinBuild,
-    Router,
     cpu_radix_join_kernel,
     filter_project_kernel,
     gpu_partitioned_join_kernel,
@@ -34,11 +31,8 @@ from repro.operators import (
     hash_join_kernel,
     kernel_counts,
     reset_kernel_counts,
-    route_morsels,
 )
 from repro.relational import (
-    PFilterProject,
-    PScan,
     agg_avg,
     agg_count,
     agg_sum,
@@ -127,17 +121,6 @@ class TestMorselPrimitives:
         finished = sink.finish()
         _assert_columns_identical(finished, columns)
         assert finished["k"] is not columns["k"]
-
-    def test_route_morsels_streams_and_accounts(self, topology):
-        columns = _random_columns(1024)
-        router = Router(topology.cpus() + topology.gpus())
-        routed = list(route_morsels(router, iter_morsels(columns, 128),
-                                    location="cpu0"))
-        assert len(routed) == 8
-        total_bytes = sum(morsel.nbytes for _, morsel in routed)
-        assert sum(router.assignments().values()) == total_bytes
-        # Every consumer device received at least one morsel (load-aware).
-        assert len({device.name for device, _ in routed}) > 1
 
 
 # ----------------------------------------------------------------------
@@ -245,18 +228,6 @@ class TestKernelMorselTransparency:
                                        probe_keys=["pk"])
         _assert_columns_identical(streamed, expected)
 
-    def test_aggregate_sink_consumes_stream_then_finalizes(self):
-        columns = _random_columns(400, seed=9)
-        aggregates = [agg_sum(col("v"), "total"), agg_count("cnt")]
-        sink = AggregateMorselSink(group_by=["k"], aggregates=aggregates)
-        for morsel in iter_morsels(columns, 32):
-            sink.consume(morsel)
-        got, stats = sink.finish()
-        expected, expected_stats = hash_aggregate_kernel(
-            columns, group_by=["k"], aggregates=aggregates)
-        assert stats == expected_stats
-        _assert_columns_identical(got, expected)
-
 
 # ----------------------------------------------------------------------
 # Engine: morsel invariance end to end
@@ -273,7 +244,7 @@ class TestEngineMorselInvariance:
     # The whole-suite TPC-H identity sweep (results + simulated seconds
     # bit-identical for every morsel setting) lives in the configuration
     # matrix of tests/test_invariants.py, which crosses morsel sizes with
-    # pipeline fusion and cache warm/cold in one place.
+    # worker counts and cache warm/cold in one place.
 
     def test_single_row_morsels_on_small_tables(self, tpch_dataset):
         """morsel_rows=1 is viable (streams every row separately)."""
@@ -282,7 +253,7 @@ class TestEngineMorselInvariance:
                 .filter(col("s_nationkey") >= lit(10))
                 .aggregate(["s_nationkey"], [agg_count("cnt")]))
         reference = execute_logical(plan, engine.catalog)
-        baseline = self._engine(tpch_dataset, None).execute(plan, "cpu")
+        baseline = self._engine(tpch_dataset, 10**9).execute(plan, "cpu")
         result = engine.execute(plan, "cpu")
         assert result.table.equals(reference, check_order=False)
         assert result.simulated_seconds == baseline.simulated_seconds
@@ -326,7 +297,7 @@ class TestEngineMorselInvariance:
         reset_kernel_counts()
         engine.executor.execute(physical)
         with_morsels = kernel_counts()
-        engine.morsel_rows = None
+        engine.morsel_rows = 10**9
         # Compare cold-vs-cold: without the reset the second run would be
         # served by the session's cross-query cache and run zero kernels.
         engine.clear_query_cache()
@@ -335,20 +306,25 @@ class TestEngineMorselInvariance:
         assert kernel_counts() == with_morsels
 
     def test_session_knob_is_retunable(self, tpch_dataset):
-        engine = self._engine(tpch_dataset, None)
-        assert engine.morsel_rows is None
+        engine = self._engine(tpch_dataset, 64)
+        assert engine.morsel_rows == 64
         engine.morsel_rows = 123
         assert engine.morsel_rows == 123
         assert engine.executor.scheduler.morsel_rows == 123
+        assert engine.executor.options.morsel_rows == 123
         with pytest.raises(ValueError):
             engine.morsel_rows = 0
-        engine.morsel_rows = None
-        assert engine.executor.options.morsel_rows is None
+        assert engine.morsel_rows == 123
 
-    @pytest.mark.parametrize("bad", [0, -1])
+    @pytest.mark.parametrize("bad", [0, -1, None, True, 1000.5, "512"])
     def test_invalid_morsel_rows_fails_at_construction(self, bad):
-        with pytest.raises(ValueError):
+        """Rejected like ``workers``: at construction and on assignment."""
+        with pytest.raises(ValueError, match="morsel_rows"):
             HAPEEngine(morsel_rows=bad)
+        engine = HAPEEngine()
+        with pytest.raises(ValueError, match="morsel_rows"):
+            engine.morsel_rows = bad
+        assert engine.morsel_rows == DEFAULT_MORSEL_ROWS
 
     def test_default_session_has_morsels_enabled(self):
         assert Session().morsel_rows == DEFAULT_MORSEL_ROWS
@@ -359,28 +335,3 @@ class TestEngineMorselInvariance:
         fine = self._engine(tpch_dataset, 100).execute(query.plan, "cpu")
         assert fine.morsels_dispatched > coarse.morsels_dispatched
         assert fine.simulated_seconds == coarse.simulated_seconds
-
-
-class TestPipelineMorselStages:
-    def test_streaming_prefix_excludes_breaker_sink(self, engine,
-                                                    tpch_dataset):
-        from repro.relational import PAggregate, PJoin, PSort
-
-        query = build_query("Q5", tpch_dataset)
-        physical = engine.plan(query.plan, "cpu")
-        pipelines = break_into_pipelines(physical)
-        assert pipelines
-        for pipeline in pipelines:
-            # A breaker may only appear as the pipeline's *source* (its
-            # output stream starts the pipeline); never downstream of the
-            # source inside the streaming prefix.
-            assert not any(isinstance(op, (PAggregate, PJoin, PSort))
-                           for op in pipeline.streaming_prefix()[1:])
-
-    def test_scan_and_filter_are_streaming(self, engine, tpch_dataset):
-        query = build_query("Q6", tpch_dataset)
-        physical = engine.plan(query.plan, "cpu")
-        ops = list(physical.walk())
-        assert any(is_streaming_operator(op) for op in ops)
-        assert all(is_streaming_operator(op)
-                   for op in ops if isinstance(op, (PScan, PFilterProject)))

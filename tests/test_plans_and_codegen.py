@@ -1,17 +1,11 @@
-"""Tests for logical plans, the reference executor, traits, pipelines and JIT."""
+"""Tests for logical plans, the reference executor, traits and pipelines."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.codegen import (
-    CPUBackend,
-    GPUBackend,
-    break_into_pipelines,
-    pipelines_per_device,
-    provider_for,
-)
+from repro.codegen import break_into_pipelines, pipelines_per_device
 from repro.errors import PlanError
 from repro.hardware import DeviceKind
 from repro.relational import (
@@ -113,43 +107,3 @@ class TestPipelines:
         ops = count_operators(physical)
         assert ops.get("MemMove", 0) >= 1
         assert ops.get("DeviceCrossing", 0) >= 1
-
-
-class TestBackends:
-    def test_provider_registry(self):
-        assert isinstance(provider_for(DeviceKind.CPU), CPUBackend)
-        assert isinstance(provider_for(DeviceKind.GPU), GPUBackend)
-
-    def test_generated_filter_project_is_correct(self):
-        backend = CPUBackend()
-        kernel = backend.compile_filter_project(
-            "pipe0", predicate=col("v") > lit(2.0),
-            projections={"v2": col("v") * lit(10.0)})
-        out = kernel({"v": np.asarray([1.0, 2.0, 3.0, 4.0])})
-        assert out["v2"].tolist() == [30.0, 40.0]
-        assert "def pipe0" in kernel.source
-        assert "CPU pipeline" in kernel.source
-
-    def test_gpu_backend_emits_atomics(self):
-        backend = GPUBackend()
-        source = backend.generate_aggregate_update(
-            "agg0", aggregates=[agg_sum(col("v"), "s")])
-        assert "_atomic_add" in source
-        cpu_source = CPUBackend().generate_aggregate_update(
-            "agg0", aggregates=[agg_sum(col("v"), "s")])
-        assert "_atomic_add" not in cpu_source
-
-    def test_gpu_kernel_compiles_and_runs(self):
-        backend = GPUBackend()
-        source = backend.generate_aggregate_update(
-            "agg0", aggregates=[agg_sum(col("v"), "s")])
-        kernel = backend.compile("agg0", source)
-        state = kernel.function({"v": np.asarray([1.0, 2.0])}, {"s": 0.0})
-        assert state["s"] == pytest.approx(3.0)
-
-    def test_backends_generate_different_source(self):
-        cpu_src = CPUBackend().generate_filter_project(
-            "p", predicate=None, projections={"x": col("x")})
-        gpu_src = GPUBackend().generate_filter_project(
-            "p", predicate=None, projections={"x": col("x")})
-        assert cpu_src != gpu_src

@@ -123,8 +123,6 @@ class TestServedResultsIdentity:
         session = tpch_server.open_session("tenant")
         with pytest.raises(ValueError, match="server-owned"):
             session.cache_budget_bytes = 123
-        with pytest.raises(ValueError, match="server-owned"):
-            session.cache_eviction = "cost"
 
     def test_shared_cache_requires_shared_catalog(self, tpch_server):
         # A shared cache with a private catalog would collide catalog
