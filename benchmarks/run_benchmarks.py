@@ -25,14 +25,18 @@ Usage::
 
 Wall-clock numbers are the best of ``--repeat`` runs (data generation and
 model construction excluded); for ``tpch_warm``, ``--repeat`` is the
-number of warm passes after the cold one.
+number of warm passes after the cold one.  Every run record also carries
+the code size it measured: ``src_lines`` (physical lines under ``src/``)
+and ``tier1_tests`` (the count ``pytest --collect-only -q`` reports).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -53,7 +57,8 @@ from repro.server import (  # noqa: E402
     poisson_arrivals,
     trace_arrivals,
 )
-from repro.storage import generate_tpch  # noqa: E402
+from repro.storage import DEFAULT_MORSEL_ROWS, generate_tpch  # noqa: E402
+from repro.storage.morsel import morsel_count  # noqa: E402
 from repro.workloads import (  # noqa: E402
     all_queries,
     build_query,
@@ -178,10 +183,13 @@ def suite_scale(args: argparse.Namespace) -> dict:
     scale: simulated seconds, device busy times and link bytes must be
     bit-identical at every worker count.  A second leg drains the same
     workload through a multi-tenant :class:`QueryServer` with the shared
-    query cache ENABLED at workers {1, 2, auto}: ticket statuses,
-    simulated seconds and the tenant-attributed hit/miss counters must
-    be identical at every worker count (the trace/commit attribution
-    contract).  ``tools/check_scale.py`` gates on both records.
+    query cache ENABLED, every tenant session at workers {1, 2, auto}:
+    ticket statuses, simulated seconds and the tenant-attributed hit/miss
+    counters must be identical at every worker count.
+    ``tools/check_scale.py`` gates on both records.  The record also
+    notes how many morsels a fused chain over ``lineitem`` streams at
+    the default morsel size: at one morsel, pool workers have
+    nothing to split.
     """
     from repro.engine.workers import available_cpus
 
@@ -232,10 +240,10 @@ def suite_scale(args: argparse.Namespace) -> dict:
                    for tenant in ("alpha", "beta", "gamma")]
 
     def serve_at(workers) -> dict:
-        server = QueryServer(default_server(), workers=workers)
+        server = QueryServer(default_server())
         server.register_dataset(dataset.tables, replace=True)
         for tenant in ("alpha", "beta", "gamma"):
-            server.open_session(tenant)
+            server.open_session(tenant).workers = workers
         for index, (tenant, name) in enumerate(server_jobs):
             server.submit(tenant, queries[name].plan, "cpu",
                           label=f"{tenant}:{name}:{index}")
@@ -261,9 +269,14 @@ def suite_scale(args: argparse.Namespace) -> dict:
     server_baseline = server_fingerprints["1"]
     server_identical = all(fingerprint == server_baseline
                            for fingerprint in server_fingerprints.values())
+    lineitem_rows = dataset.tables["lineitem"].num_rows
     return {
         "scale_factor": args.sf,
         "cpu_count": available_cpus(),
+        "lineitem_rows": lineitem_rows,
+        "morsel_rows": DEFAULT_MORSEL_ROWS,
+        "lineitem_morsels_per_chain": morsel_count(lineitem_rows,
+                                                   DEFAULT_MORSEL_ROWS),
         "workers": per_workers,
         "simulated_identical_across_workers": identical,
         "server_drain": {
@@ -748,8 +761,8 @@ def suite_trace(args: argparse.Namespace) -> dict:
 
     Serves one chaos epoch — interactive + batch tenants, preemption and
     aging on, a :class:`FaultPlan` that kills gpu0 mid-epoch and injects
-    transient errors — with ``tracing=True`` at workers {1, 2, auto} plus
-    a same-configuration replay, and asserts the exported epoch JSONL is
+    transient errors — with ``tracing=True``, every tenant session at
+    workers {1, 2, auto}, plus a same-configuration replay, and asserts the exported epoch JSONL is
     **byte-identical** across all four drains.  The Chrome trace-event
     export must round-trip through ``json`` with well-formed events
     (Perfetto-loadable), and every completed query's critical path must
@@ -768,13 +781,14 @@ def suite_trace(args: argparse.Namespace) -> dict:
     queries = all_queries(dataset)
 
     def serve(workers, tracing, fault_plan, aging):
-        server = QueryServer(default_server(), workers=workers,
+        server = QueryServer(default_server(),
                              preemption=True, aging_seconds=aging,
                              fault_plan=fault_plan, tracing=tracing)
         server.register_dataset(dataset.tables)
         server.open_session("inter", priority="interactive",
-                            max_concurrency=2)
-        server.open_session("batch", priority="batch", max_concurrency=2)
+                            max_concurrency=2).workers = workers
+        server.open_session("batch", priority="batch",
+                            max_concurrency=2).workers = workers
         for name, query in queries.items():
             server.submit("batch", query.plan, "hybrid",
                           label=f"{name}/hybrid")
@@ -976,6 +990,27 @@ def _git_revision() -> str | None:
         return None
 
 
+def _src_lines() -> int:
+    """Physical lines of every Python file under ``src/``."""
+    return sum(len(path.read_bytes().splitlines())
+               for path in (_REPO / "src").rglob("*.py"))
+
+
+def _tier1_tests() -> int | None:
+    """Test count ``pytest --collect-only -q`` reports (None if it fails)."""
+    try:
+        output = subprocess.run(
+            [sys.executable, "-m", "pytest", "--collect-only", "-q",
+             "-p", "no:cacheprovider"],
+            cwd=_REPO, capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(_REPO / "src")},
+        ).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    match = re.search(r"^(\d+) tests? collected", output, re.MULTILINE)
+    return int(match.group(1)) if match else None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sf", type=float, default=0.05,
@@ -1055,7 +1090,9 @@ def main(argv: list[str] | None = None) -> int:
             summary += (
                 f", {scaling}, 4-worker speedup "
                 f"{record['speedup_at_4_workers']:.2f}x, sims identical="
-                f"{record['simulated_identical_across_workers']}")
+                f"{record['simulated_identical_across_workers']}, "
+                f"{record['lineitem_morsels_per_chain']} morsel(s) per "
+                f"lineitem chain")
         if "worst_median_q_error" in suites[name]:
             record = suites[name]
             summary += (
@@ -1092,6 +1129,8 @@ def main(argv: list[str] | None = None) -> int:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "git_revision": _git_revision(),
         "python": platform.python_version(),
+        "src_lines": _src_lines(),
+        "tier1_tests": _tier1_tests(),
         "args": {"sf": args.sf, "seed": args.seed, "repeat": args.repeat,
                  "morsel_rows": args.morsel_rows,
                  "mem_sf": args.mem_sf, "serve_passes": args.serve_passes},

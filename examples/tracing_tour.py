@@ -14,7 +14,7 @@ Walks the observability subsystem end to end (see
 4. tracing off: ``result.trace`` is ``None`` and simulated seconds are
    bit-identical — tracing records, it never re-times;
 5. a served chaos epoch (device outage + transient faults + preemption)
-   traced at several worker counts: the full lifecycle event log, all
+   traced with tenant sessions at several worker counts: the full lifecycle event log, all
    byte-identical, with per-query critical paths, Chrome-trace export
    and the metrics satellites (tenant cache counters, derived gauges).
 
@@ -119,14 +119,16 @@ def main() -> int:
     # 5. A served chaos epoch, traced.
     # ------------------------------------------------------------------
     def serve(workers, *, fault_plan=None, tracing=True, aging=None):
-        server = QueryServer(default_server(), workers=workers,
+        server = QueryServer(default_server(),
                              preemption=True,
                              aging_seconds=aging,
                              fault_plan=fault_plan, tracing=tracing)
         server.register_dataset(dataset.tables)
         server.open_session("inter", priority="interactive",
-                            max_concurrency=2, slo_p99_seconds=1.0)
-        server.open_session("batch", priority="batch", max_concurrency=2)
+                            max_concurrency=2,
+                            slo_p99_seconds=1.0).workers = workers
+        server.open_session("batch", priority="batch",
+                            max_concurrency=2).workers = workers
         for name, query in queries.items():
             server.submit("batch", query.plan, "hybrid", label=name)
             server.submit("inter", query.plan, "gpu", label=name)
@@ -156,7 +158,8 @@ def main() -> int:
     drains.append(serve(WORKER_COUNTS[0], fault_plan=chaos,
                         aging=aging)[0].last_trace.to_jsonl())
     assert all(text == drains[0] for text in drains)
-    print(f"epoch JSONL byte-identical at workers {WORKER_COUNTS} and "
+    print(f"epoch JSONL byte-identical with tenant sessions at workers "
+          f"{WORKER_COUNTS} and "
           f"across a replay ({len(drains[0].splitlines())} lines)")
 
     by_ticket = {q.ticket: q for q in epoch.queries}

@@ -629,7 +629,7 @@ class Executor:
         """
         count = resolve_workers(workers)
         self.options = replace(self.options, workers=count)
-        self.pool = WorkerPool(count, tier="kernel")
+        self.pool = WorkerPool(count)
 
     def configure_cache(self, cache_budget_bytes: int | None) -> None:
         """Re-tune the session cache budget (``cache_budget_bytes`` knob).
@@ -805,10 +805,10 @@ class Executor:
             self._query_memo.setdefault(key, {})[tuning] = result
         if self._trace_spans is not None and self._owns_cache:
             # Cache warmth is a per-span diagnostic only for session-owned
-            # caches: raw lookup outcomes against a server-shared cache
-            # race between tenants, so served traces attribute cache
-            # activity from the committed counters instead (the server's
-            # "complete" event).  VOLATILE_SPAN_KEYS strips these for the
+            # caches: a lookup against a server-shared cache depends on
+            # other tenants' traffic, so served traces attribute cache
+            # activity per attempt instead (the server's "complete"
+            # event).  VOLATILE_SPAN_KEYS strips these for the
             # warm-vs-cold timing contract.
             self._trace_kernel[node.node_id] = (status, morsel_delta)
         remaining = self._key_refs.get(key, 0) - 1

@@ -168,10 +168,9 @@ class QueryCache:
     (:meth:`invalidate_table`, driven by catalog subscriptions).
 
     **Thread safety.**  Every mutating or compound operation holds one
-    re-entrant lock: worker-driven serving executes tenant queries (and
-    therefore cache lookups, inserts and catalog-driven invalidations)
-    from multiple threads against one shared cache.  The lock makes each
-    get/put/invalidate atomic — counters always reconcile exactly
+    re-entrant lock: sessions sharing one cache (and the catalog pushing
+    invalidations into it) may run on different threads.  The lock makes
+    each get/put/invalidate atomic — counters always reconcile exactly
     (``lookups == hits + misses``; bytes match the live entries) no matter
     how calls interleave.
     """

@@ -1,12 +1,11 @@
 """Worker pools: true multicore execution with a determinism contract.
 
-The engine's data-parallel work — morsels streamed through a fused chain,
-radix partition passes, admitted queries of *different* tenants inside
-:class:`repro.server.server.QueryServer` — is pure NumPy kernels that
-release the GIL, so plain threads scale it across cores.  What must NOT
-scale with it is any *observable* quantity: tables, simulated seconds,
-``device_busy``, ``link_bytes`` and cache counters have to stay bit-identical
-at every worker count.
+The engine's data-parallel work — morsels streamed through a fused chain
+and radix partition passes — is pure NumPy kernels that release the GIL,
+so plain threads scale it across cores.  What must NOT scale with it is
+any *observable* quantity: tables, simulated seconds, ``device_busy``,
+``link_bytes`` and cache counters have to stay bit-identical at every
+worker count.
 
 The contract that guarantees this (see ``docs/ARCHITECTURE.md``):
 
@@ -25,16 +24,10 @@ path.  ``workers="auto"`` resolves to the machine's CPU count, and the
 ``REPRO_WORKERS`` environment variable supplies the default when no knob
 is set (how CI sweeps worker counts without touching call sites).
 
-Pools are shared process-wide, keyed by ``(tier, thread-count)``:
-
-* ``"kernel"`` tier — leaf work (morsel transforms, partition passes);
-  never submits further pool work.
-* ``"server"`` tier — per-tenant query execution inside ``QueryServer``;
-  may *wait* on kernel-tier work but never on server-tier work.
-
-The two tiers use distinct executors, so a server task blocking on kernel
-futures cannot deadlock against the pool it runs in, and a test suite
-creating hundreds of engines reuses a bounded set of threads.
+Pools are shared process-wide, one executor per thread count, so a test
+suite creating hundreds of engines reuses a bounded set of threads.  Pool
+work is leaf work: a task never submits further pool work, so a task can
+never wait on the pool it runs in.
 """
 
 from __future__ import annotations
@@ -49,11 +42,6 @@ _R = TypeVar("_R")
 
 #: Environment variable consulted when no explicit ``workers`` knob is set.
 WORKERS_ENV = "REPRO_WORKERS"
-
-#: Pool tiers (see module docstring): kernel work is a leaf, server work
-#: may block on kernel work.  Keeping them in separate executors makes the
-#: wait graph acyclic by construction.
-POOL_TIERS = ("kernel", "server")
 
 
 def available_cpus() -> int:
@@ -99,19 +87,18 @@ def resolve_workers(workers: int | str | None) -> int:
 # Shared executors
 # ----------------------------------------------------------------------
 _REGISTRY_LOCK = threading.Lock()
-_EXECUTORS: dict[tuple[str, int], ThreadPoolExecutor] = {}
+_EXECUTORS: dict[int, ThreadPoolExecutor] = {}
 
 
-def _shared_executor(tier: str, threads: int) -> ThreadPoolExecutor:
-    """Process-wide executor for ``(tier, threads)``, created on demand."""
-    key = (tier, threads)
+def _shared_executor(threads: int) -> ThreadPoolExecutor:
+    """Process-wide executor with ``threads`` threads, created on demand."""
     with _REGISTRY_LOCK:
-        executor = _EXECUTORS.get(key)
+        executor = _EXECUTORS.get(threads)
         if executor is None:
             executor = ThreadPoolExecutor(
                 max_workers=threads,
-                thread_name_prefix=f"repro-{tier}-{threads}")
-            _EXECUTORS[key] = executor
+                thread_name_prefix=f"repro-kernel-{threads}")
+            _EXECUTORS[threads] = executor
         return executor
 
 
@@ -125,18 +112,13 @@ class WorkerPool:
     threads, no futures, the exact pre-pool code path.
     """
 
-    __slots__ = ("workers", "tier")
+    __slots__ = ("workers",)
 
-    def __init__(self, workers: int | str | None = 1, *,
-                 tier: str = "kernel") -> None:
-        if tier not in POOL_TIERS:
-            raise ValueError(
-                f"tier must be one of {POOL_TIERS}, got {tier!r}")
+    def __init__(self, workers: int | str | None = 1) -> None:
         self.workers = resolve_workers(workers)
-        self.tier = tier
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"WorkerPool(workers={self.workers}, tier={self.tier!r})"
+        return f"WorkerPool(workers={self.workers})"
 
     @property
     def parallel(self) -> bool:
@@ -153,7 +135,7 @@ class WorkerPool:
         items = list(items)
         if not self.parallel or len(items) <= 1:
             return [fn(item) for item in items]
-        executor = _shared_executor(self.tier, self.workers)
+        executor = _shared_executor(self.workers)
         futures = [executor.submit(fn, item) for item in items]
         return [future.result() for future in futures]
 

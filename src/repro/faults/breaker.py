@@ -12,9 +12,32 @@ attempt that touches it closes the circuit (health HEALTHY).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 from ..hardware import DeviceHealth, Topology
+
+
+def validate_breaker(threshold: int, cooldown_seconds: float
+                     ) -> tuple[int, float]:
+    """Check circuit-breaker tuning; returns ``(threshold, cooldown)``.
+
+    ``threshold`` must be an int >= 1 (a bool or a float is refused, not
+    truncated); ``cooldown_seconds`` must be a finite number > 0.
+    """
+    if isinstance(threshold, bool) or not isinstance(threshold, int):
+        raise ValueError(
+            f"breaker threshold must be a positive int, got {threshold!r}")
+    if threshold < 1:
+        raise ValueError("breaker threshold must be at least 1")
+    if (isinstance(cooldown_seconds, bool)
+            or not isinstance(cooldown_seconds, (int, float))
+            or not math.isfinite(cooldown_seconds)
+            or cooldown_seconds <= 0.0):
+        raise ValueError(
+            "breaker cooldown must be a positive finite number of seconds, "
+            f"got {cooldown_seconds!r}")
+    return threshold, float(cooldown_seconds)
 
 
 class CircuitBreaker:
@@ -22,13 +45,9 @@ class CircuitBreaker:
 
     def __init__(self, topology: Topology, *, threshold: int = 3,
                  cooldown_seconds: float = 1.0) -> None:
-        if threshold < 1:
-            raise ValueError("breaker threshold must be at least 1")
-        if cooldown_seconds <= 0.0:
-            raise ValueError("breaker cooldown must be positive")
         self.topology = topology
-        self.threshold = int(threshold)
-        self.cooldown_seconds = float(cooldown_seconds)
+        self.threshold, self.cooldown_seconds = validate_breaker(
+            threshold, cooldown_seconds)
         self._consecutive_failures: dict[str, int] = {}
         self._probe_at: dict[str, float] = {}
         #: Devices this breaker failed itself (so teardown never restores

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import threading
 from dataclasses import dataclass
 
 from .clock import SimClock, TaskRecord
@@ -37,12 +36,10 @@ class DeviceHealth(enum.Enum):
 class Device:
     """One compute device of the simulated heterogeneous server.
 
-    The simulated clock (and the memory pool's usage ledger) are
-    **thread-local**: each thread charging the device sees its own
-    simulated-seconds ledger, so concurrent per-tenant query executions
-    on a shared topology produce exactly the timings they would produce
-    running alone.  Spec, cost model and health are shared — fault
-    injection is a topology-wide event every thread must observe.
+    The simulated clock and the memory pool's usage ledger are charged
+    only by the thread running a query (worker-pool tasks never
+    charge hardware), and queries run one at a time, so each query sees
+    the device as if it ran alone once :meth:`reset` has cleared them.
     """
 
     def __init__(self, spec: DeviceSpec, *, numa_node: int = 0) -> None:
@@ -50,18 +47,9 @@ class Device:
         self.numa_node = numa_node
         self.memory = MemoryPool(spec.name, spec.memory_capacity_bytes)
         self.cost = CostModel(spec)
-        self._local = threading.local()
+        self.clock = SimClock(spec.name)
         self.health = DeviceHealth.HEALTHY
         self._nominal_memory_bytes = int(spec.memory_capacity_bytes)
-
-    @property
-    def clock(self) -> SimClock:
-        """This thread's simulated clock for the device."""
-        clock = getattr(self._local, "clock", None)
-        if clock is None:
-            clock = SimClock(self.spec.name)
-            self._local.clock = clock
-        return clock
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Device({self.spec.name!r}, kind={self.spec.kind.value})"

@@ -11,7 +11,6 @@ of silently succeeding.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 
 from ..errors import OutOfDeviceMemoryError
@@ -42,27 +41,14 @@ class Allocation:
         self.free()
 
 
-class _PoolState:
-    """Per-thread usage ledger of one :class:`MemoryPool`."""
-
-    __slots__ = ("used_bytes", "live", "peak_bytes")
-
-    def __init__(self) -> None:
-        self.used_bytes = 0
-        self.live: dict[int, Allocation] = {}
-        self.peak_bytes = 0
-
-
 class MemoryPool:
     """Tracks used/free bytes of one memory node (DRAM socket or GPU).
 
-    The usage ledger is **thread-local**: the engine's transient
-    capacity-check allocations always free on the thread that made them,
-    and concurrent per-tenant query executions (server worker threads)
-    each simulate the device memory as if they ran alone — which is what
-    keeps their OOM behavior and peak accounting bit-identical to solo
-    runs.  The capacity itself is shared (fault injection shrinking a
-    device is visible to every thread).
+    Only the thread running a query allocates (worker-pool tasks
+    never charge hardware), and the engine's transient capacity-check
+    allocations free before the query ends, so a query sees the device
+    memory as if it ran alone — which keeps its OOM behavior and peak
+    accounting identical to a solo run.
     """
 
     def __init__(self, owner: str, capacity_bytes: int) -> None:
@@ -70,14 +56,10 @@ class MemoryPool:
             raise ValueError("memory pool needs a positive capacity")
         self.owner = owner
         self.capacity_bytes = int(capacity_bytes)
-        self._local = threading.local()
-
-    def _state(self) -> _PoolState:
-        state = getattr(self._local, "state", None)
-        if state is None:
-            state = _PoolState()
-            self._local.state = state
-        return state
+        self.used_bytes = 0
+        #: High-water mark of concurrent usage.
+        self.peak_bytes = 0
+        self._live: dict[int, Allocation] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
@@ -86,21 +68,12 @@ class MemoryPool:
         )
 
     @property
-    def used_bytes(self) -> int:
-        return self._state().used_bytes
-
-    @property
     def free_bytes(self) -> int:
         return self.capacity_bytes - self.used_bytes
 
     @property
-    def peak_bytes(self) -> int:
-        """High-water mark of concurrent usage."""
-        return self._state().peak_bytes
-
-    @property
     def live_allocations(self) -> tuple[Allocation, ...]:
-        return tuple(self._state().live.values())
+        return tuple(self._live.values())
 
     def can_fit(self, nbytes: int) -> bool:
         """Whether ``nbytes`` could currently be allocated."""
@@ -111,21 +84,18 @@ class MemoryPool:
         nbytes = int(nbytes)
         if nbytes < 0:
             raise ValueError("cannot allocate a negative number of bytes")
-        state = self._state()
-        if nbytes > self.capacity_bytes - state.used_bytes:
+        if nbytes > self.capacity_bytes - self.used_bytes:
             raise OutOfDeviceMemoryError(
-                self.owner, nbytes, self.capacity_bytes - state.used_bytes)
+                self.owner, nbytes, self.capacity_bytes - self.used_bytes)
         allocation = Allocation(pool=self, nbytes=nbytes, label=label)
-        state.live[allocation.allocation_id] = allocation
-        state.used_bytes += nbytes
-        state.peak_bytes = max(state.peak_bytes, state.used_bytes)
+        self._live[allocation.allocation_id] = allocation
+        self.used_bytes += nbytes
+        self.peak_bytes = max(self.peak_bytes, self.used_bytes)
         return allocation
 
     def _release(self, allocation: Allocation) -> None:
-        state = self._state()
-        if allocation.allocation_id in state.live:
-            del state.live[allocation.allocation_id]
-            state.used_bytes -= allocation.nbytes
+        if self._live.pop(allocation.allocation_id, None) is not None:
+            self.used_bytes -= allocation.nbytes
 
     def resize(self, capacity_bytes: int) -> None:
         """Change the pool capacity in place (fault injection: memory loss).
@@ -141,12 +111,8 @@ class MemoryPool:
         self.capacity_bytes = capacity_bytes
 
     def release_all(self) -> None:
-        """Free every live allocation (used between benchmark repetitions).
-
-        Thread-local like the ledger: each thread releases its own
-        allocations (an execute's reset cannot drop another tenant's).
-        """
-        for allocation in list(self._state().live.values()):
+        """Free every live allocation (used between benchmark repetitions)."""
+        for allocation in list(self._live.values()):
             allocation.free()
 
     def utilization(self) -> float:

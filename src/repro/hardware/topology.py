@@ -39,13 +39,14 @@ class OccupancyBoard:
     charged to it, so board contention mirrors what the per-query
     timelines measured.
 
-    The board is shared mutable state across serving worker threads, so
-    every compound operation (on-demand clock creation, the
+    The board is shared mutable state (the scheduler and every session on
+    the topology reach it, possibly from different threads), so every
+    compound operation (on-demand clock creation, the
     read-availability-then-reserve sequence of :meth:`reserve`) holds one
     re-entrant lock.  Note that SimClock list scheduling makes the
     *order* of reservations observable — deterministic serving therefore
-    keeps all :meth:`reserve` calls on the coordinating thread in
-    canonical dispatch order; the lock protects integrity, not ordering.
+    makes all :meth:`reserve` calls in canonical dispatch order; the lock
+    protects integrity, not ordering.
     """
 
     def __init__(self, known: Callable[[str], bool]) -> None:

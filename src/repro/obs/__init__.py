@@ -7,7 +7,7 @@ decisions — into byte-stable artifacts:
 * :class:`QueryTrace` / :class:`EpochTrace` — the data model, with JSONL
   and Chrome-trace (Perfetto-loadable) exporters;
 * :class:`Tracer` — the append-only event recorder the server writes
-  lifecycle events into (coordinator thread only, canonical order);
+  lifecycle events into (the draining thread only, canonical order);
 * :func:`critical_path` — which device or link bounded a makespan, with
   idle-gap accounting.
 

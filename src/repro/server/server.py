@@ -19,12 +19,10 @@ Two invariants carry over unchanged from the single-session engine:
 * **Functional determinism.**  The serving loop is event-driven over
   simulated server time and coordinated from one thread, so interleaved
   multi-tenant runs return exactly the tables a serial run returns, in a
-  reproducible order.  With ``workers > 1`` admitted queries from
-  *different tenants* execute genuinely concurrently on worker threads —
-  per-query simulated time stays bit-identical (hardware clocks and
-  memory ledgers are thread-local), and all scheduling (admission picks,
-  occupancy reservations, completion processing) stays on the
-  coordinating thread in canonical pick order.
+  reproducible order.  Admitted queries execute one at a time, in
+  admission pick order, on the thread that calls :meth:`QueryServer.run`;
+  the overlap of queries on disjoint hardware lives on the occupancy
+  board, not on concurrent threads.
 
 The server is also *fault tolerant*: a :class:`~repro.faults.FaultPlan`
 (or an organic failure such as
@@ -60,7 +58,6 @@ import numpy as np
 
 from ..engine.querycache import CacheCounters, QueryCacheStats
 from ..engine.session import HAPEEngine, QueryResult
-from ..engine.workers import WorkerPool, resolve_workers
 from ..errors import (
     AdmissionError,
     DeviceUnavailableError,
@@ -73,6 +70,7 @@ from ..errors import (
     UnknownTenantError,
 )
 from ..faults import CircuitBreaker, FaultInjector, FaultPlan, InjectedFault
+from ..faults.breaker import validate_breaker
 from ..hardware.specs import DeviceKind
 from ..hardware.topology import Topology, default_server
 from ..obs.trace import EpochTrace, TracedQuery
@@ -85,7 +83,7 @@ from .admission import AdmissionController, RetryPolicy, TenantPolicy
 from .arrivals import Arrival, ArrivalSource
 from .metrics import MetricsSnapshot
 from .scheduler import DeviceScheduler, Placement
-from .sharedcache import CacheBracket, SharedQueryCache
+from .sharedcache import SharedQueryCache
 
 #: Mode-degradation ladder for device-scoped failures: a query that cannot
 #: run in its mode is re-planned one rung down.  CPU-only has no rung left.
@@ -359,16 +357,6 @@ class QueryServer:
         Circuit-breaker tuning: a device failing this many consecutive
         attempts is marked failed and probed for recovery after the
         cooldown elapses in server time.
-    workers:
-        Worker threads the drain uses to execute admitted queries from
-        different tenants concurrently (``"auto"`` = CPU count).  The
-        default ``1`` keeps the fully serial drain.  Functional results,
-        per-query simulated seconds *and* shared-cache hit/miss
-        attribution are identical at every worker count: cache traffic
-        is traced per attempt and committed on the coordinating thread
-        in canonical admission pick order, so two tenants racing to
-        compute the same kernel charge exactly one miss (the earlier
-        pick) and one hit, just as a serial drain would.
     preemption:
         When ``True``, an interactive arrival that would otherwise wait
         may kill a running batch-priority attempt at its next morsel
@@ -391,11 +379,11 @@ class QueryServer:
         and fault transitions, SLO grading) on the simulated server
         clock, plus per-query operator traces (tenant sessions open with
         session tracing on) and the occupancy board's busy slices.  All
-        events are recorded on the coordinating thread in canonical
-        admission pick order, so the trace is byte-identical at every
-        worker count and across replays.  Off by default with near-zero
-        overhead (one flag check per lifecycle point); serving results,
-        reports and metrics are bit-identical with tracing on or off.
+        events are recorded in admission pick order, so the trace is
+        byte-identical at every tenant-session worker count and across
+        replays.  Off by default with near-zero overhead (one flag check
+        per lifecycle point); serving results, reports and metrics are
+        bit-identical with tracing on or off.
     """
 
     def __init__(self, topology: Topology | None = None, *,
@@ -405,7 +393,6 @@ class QueryServer:
                  retry_policy: RetryPolicy | None = None,
                  breaker_threshold: int = 3,
                  breaker_cooldown_seconds: float = 1.0,
-                 workers: int | str = 1,
                  preemption: bool = False,
                  aging_seconds: float | None = None,
                  tracing: bool = False) -> None:
@@ -430,10 +417,10 @@ class QueryServer:
         self.estimator = CardinalityEstimator(self.catalog)
         self.fault_plan = fault_plan or FaultPlan()
         self.retry_policy = retry_policy or RetryPolicy()
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown_seconds = breaker_cooldown_seconds
-        self.workers = resolve_workers(workers)
-        self._pool = WorkerPool(self.workers, tier="server")
+        # Validated here, not at run(): a bad value must fail before any
+        # ticket is queued.
+        self.breaker_threshold, self.breaker_cooldown_seconds = (
+            validate_breaker(breaker_threshold, breaker_cooldown_seconds))
         self._retry_policies: dict[str, RetryPolicy] = {}
         self._sessions: dict[str, HAPEEngine] = {}
         self._ticket_ids = itertools.count(1)
@@ -449,8 +436,8 @@ class QueryServer:
         if not isinstance(tracing, bool):
             raise ValueError("tracing must be a bool")
         self.tracing = tracing
-        #: Lifecycle-event recorder (no-op unless ``tracing=True``); all
-        #: appends happen on the coordinating thread in canonical order.
+        #: Lifecycle-event recorder (no-op unless ``tracing=True``); events
+        #: are appended in canonical (admission pick) order.
         self.tracer = Tracer(enabled=tracing)
         #: The most recent epoch's :class:`~repro.obs.EpochTrace`
         #: (``None`` before the first traced ``run()`` or when off).
@@ -715,9 +702,6 @@ class QueryServer:
         self.topology.reset_occupancy()
         if self.tracer.enabled:
             self._last_health = dict(self.topology.health_report())
-        # Seed the epoch's canonical cache-key set: commits classify
-        # hits/misses against it in pick order (see SharedQueryCache).
-        self.query_cache.begin_epoch()
         completions: list[tuple[float, int, _Attempt]] = []
         try:
             self._drain(completions)
@@ -745,11 +729,6 @@ class QueryServer:
         self._apply_faults(now, completions)
         self._pump_arrivals(now)
         while True:
-            # One dispatch path at every worker count: the serial pool
-            # simply maps execution groups in order on this thread, so
-            # workers=1 exercises the same bookkeeping/execute/commit
-            # phases (and the same deterministic cache attribution) as a
-            # concurrent drain.
             self._dispatch_admissible(now, completions)
             events = []
             while completions and completions[0][2].cancelled:
@@ -821,9 +800,9 @@ class QueryServer:
     def _trace_health(self, now: float, cause: str) -> None:
         """Emit a ``device_health`` event per device whose state changed.
 
-        Runs on the coordinator thread at deterministic simulated times
-        (fault-schedule and breaker edges), so the events land in the
-        trace in the same order at every worker count.
+        Runs at deterministic simulated times (fault-schedule and
+        breaker edges), so the events land in the trace in the same order
+        on every replay.
         """
         if not self.tracer.enabled:
             return
@@ -839,32 +818,30 @@ class QueryServer:
     # Dispatch: one execution attempt
     # ------------------------------------------------------------------
     def _execute_attempt(self, tenant: str, ticket: QueryTicket) -> tuple[
-            QueryResult | None, CacheBracket, ReproError | None]:
-        """Functionally execute one attempt (safe off the drain thread).
+            QueryResult | None, CacheCounters, ReproError | None]:
+        """Functionally execute one attempt in the tenant's session.
 
-        Touches only thread-safe state: the tenant's session (one thread
-        runs a given tenant at a time), the shared cache and the
-        catalog.  No admission, occupancy or ticket bookkeeping happens
-        here — that stays on the coordinating thread.  Cache traffic is
-        *traced* into the returned bracket, not counted: the coordinating
-        thread commits brackets in canonical pick order, which is what
-        makes hit/miss attribution deterministic at any worker count.
+        Touches only the session, the shared cache and the catalog; no
+        admission, occupancy or ticket bookkeeping happens here.  Returns
+        the result (or the error) and the hit/miss counters of the
+        attempt's lookups — failed attempts included, since the lookups
+        they made before failing are real traffic.
         """
         session = self.session(tenant)
         with self.query_cache.tenant(tenant) as bracket:
             try:
                 result = session.execute(ticket.plan, ticket.current_mode)
             except ReproError as error:
-                return None, bracket, error
-        return result, bracket, None
+                return None, bracket.counters, error
+        return result, bracket.counters, None
 
     def _enqueue_attempt(self, tenant: str, ticket: QueryTicket, now: float,
                          completions: list, result: QueryResult,
                          cache_delta: CacheCounters) -> None:
         """Reserve a successfully executed attempt on the occupancy board.
 
-        Must run on the coordinating thread in canonical pick order —
-        occupancy reservations are order-sensitive (list scheduling).
+        Must run in canonical pick order — occupancy reservations are
+        order-sensitive (list scheduling).
         """
         deadline = ticket.deadline_time
         reservations = self.scheduler.reservations(result)
@@ -1002,19 +979,16 @@ class QueryServer:
                                at=kill)
 
     def _dispatch_admissible(self, now: float, completions: list) -> None:
-        """Drain every currently admissible pick (workers optional).
+        """Drain every currently admissible pick, in pick order.
 
-        Three phases per batch, repeated until nothing is admissible:
-        bookkeeping (deadline checks, attempt counting, auto-mode
-        resolution) in pick order on this thread; functional execution
-        grouped by tenant on worker threads (sessions are not reentrant,
-        so one tenant's picks run sequentially inside their group); then
-        post-processing — cache-bracket commits, failure routing and
-        occupancy reservations — back on this thread in pick order, which
-        keeps both the board's order-sensitive ledgers and the shared
-        cache's hit/miss attribution canonical.  With ``workers=1`` the
-        pool maps the groups serially on this thread, same phases, same
-        attribution.
+        Per batch, repeated until nothing is admissible: bookkeeping
+        (deadline checks, attempt counting, auto-mode resolution) of
+        every pick, then the execution of every pick, then each pick's
+        occupancy reservation (or failure routing) — each phase in pick
+        order.  All picks of a batch dispatch at the same instant, so all
+        execute before any failure is routed: routing can trip the
+        circuit breaker, and a later pick of the batch must not see a
+        device fail that was healthy when it was dispatched.
         """
         while True:
             picks = []
@@ -1043,26 +1017,10 @@ class QueryServer:
                                   attempt=ticket.attempts,
                                   mode=ticket.current_mode)
                 runnable.append((tenant, ticket))
-            groups: dict[str, list[QueryTicket]] = {}
-            for tenant, ticket in runnable:
-                groups.setdefault(tenant, []).append(ticket)
-
-            def run_group(item: tuple[str, list[QueryTicket]]) -> list:
-                tenant, tickets = item
-                return [(ticket, *self._execute_attempt(tenant, ticket))
-                        for ticket in tickets]
-
-            outcomes: dict[int, tuple] = {}
-            for group in self._pool.map_ordered(run_group,
-                                                list(groups.items())):
-                for ticket, result, bracket, error in group:
-                    outcomes[ticket.ticket_id] = (result, bracket, error)
-            for tenant, ticket in runnable:
-                result, bracket, error = outcomes[ticket.ticket_id]
-                # Commit in pick order even for failed attempts: the
-                # lookups they performed before failing are real traffic
-                # and keep global/tenant counters reconciled exactly.
-                cache_delta = self.query_cache.commit(bracket)
+            outcomes = [self._execute_attempt(tenant, ticket)
+                        for tenant, ticket in runnable]
+            for (tenant, ticket), (result, cache_delta, error) in zip(
+                    runnable, outcomes):
                 if error is not None:
                     self.admission.on_finish(tenant, ticket.estimated_bytes)
                     self._route_failure(ticket, now, error)
@@ -1084,9 +1042,9 @@ class QueryServer:
             ticket.error = None
             self._breaker.record_success(attempt.reserved)
             self._trace_health(now, "breaker")
-            # Cache attribution on the event comes from the *committed*
-            # counters (deterministic at every worker count), not raw
-            # per-span lookups — see docs/OBSERVABILITY.md.
+            # Cache attribution on the event comes from the attempt's
+            # bracket counters, not raw per-span lookups — see
+            # docs/OBSERVABILITY.md.
             self.tracer.event(attempt.finish, "complete",
                               tenant=ticket.tenant, query=ticket.label,
                               ticket=ticket.ticket_id,
@@ -1284,8 +1242,7 @@ class QueryServer:
     def _build_epoch_trace(self, report: ServerReport) -> EpochTrace | None:
         """Assemble the epoch's trace from the tracer's committed events.
 
-        Called once per epoch on the coordinator thread after the report
-        is built: SLO grades are appended (sorted by tenant), per-query
+        Called once per epoch after the report is built: SLO grades are appended (sorted by tenant), per-query
         traces are collected in submission (ticket) order and the shared
         occupancy board is snapshotted.  Draining the tracer here also
         guarantees an aborted epoch cannot leak events into the next one.

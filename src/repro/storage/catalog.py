@@ -42,7 +42,7 @@ class Catalog:
 
     Thread-safe: a re-entrant lock makes each registration (version bump
     plus listener notification) atomic, so sessions running on concurrent
-    worker threads observe table versions strictly monotonically — a
+    threads observe table versions strictly monotonically — a
     reader can never see the new version of a table before the
     invalidation for the old one has been delivered.  Listeners are
     invoked *under* the lock; they must not call back into the catalog's

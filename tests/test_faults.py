@@ -304,6 +304,22 @@ class TestCircuitBreaker:
         with pytest.raises(ValueError, match="cooldown"):
             CircuitBreaker(default_server(), cooldown_seconds=0.0)
 
+    @pytest.mark.parametrize("knobs", [
+        {"breaker_threshold": 0}, {"breaker_threshold": -1},
+        {"breaker_threshold": 2.5}, {"breaker_threshold": True},
+        {"breaker_threshold": "3"}, {"breaker_cooldown_seconds": 0},
+        {"breaker_cooldown_seconds": -1.0}, {"breaker_cooldown_seconds": True},
+        {"breaker_cooldown_seconds": "1.0"},
+        {"breaker_cooldown_seconds": float("nan")},
+        {"breaker_cooldown_seconds": float("inf")},
+    ], ids=lambda knobs: ",".join(f"{k}={v!r}" for k, v in knobs.items()))
+    def test_server_rejects_bad_breaker_knobs_at_construction(self, knobs):
+        # Refused before any ticket can be queued, not when run() builds
+        # the breaker (which would leave submitted tickets "queued").
+        name = next(iter(knobs)).removeprefix("breaker_").split("_")[0]
+        with pytest.raises(ValueError, match=name):
+            QueryServer(default_server(), **knobs)
+
 
 # ----------------------------------------------------------------------
 # Resilient serving: retries

@@ -456,7 +456,7 @@ def test_fuzzed_plan_served_identically(seed):
         context_base = (f"seed={seed} workers={workers} "
                         f"arrivals={pattern} arrival_seed={arrival_seed}\n"
                         f"plan:\n{case.plan.pretty()}")
-        server = QueryServer(default_server(), workers=workers,
+        server = QueryServer(default_server(),
                              preemption=True, aging_seconds=1e-4,
                              cache_budget_bytes=0)
         server.register_dataset({table.name: table
@@ -464,6 +464,8 @@ def test_fuzzed_plan_served_identically(seed):
         server.open_session("inter", priority="interactive")
         server.open_session("norm", priority="normal")
         server.open_session("batch", priority="batch")
+        for tenant in tenants:
+            server.session(tenant).workers = workers
         jobs = [(tenants[index], mode) for index, mode in enumerate(MODES)]
         if pattern == "drain":
             for tenant, mode in jobs:

@@ -148,7 +148,7 @@ def test_tpch_grid_is_bit_identical(tpch_dataset, baseline, morsel_rows,
 
 
 # ----------------------------------------------------------------------
-# Serving-layer invariance: arrival pattern × workers
+# Serving-layer invariance: arrival pattern × tenant-session workers
 # ----------------------------------------------------------------------
 #: How the same 12 (query, mode) submissions reach the server: all before
 #: run() (the PR 5 drain), as a seeded Poisson stream, or as a recorded
@@ -168,17 +168,20 @@ SERVE_CONFIGS = [
 def test_served_grid_is_bit_identical(tpch_dataset, baseline, pattern,
                                       workers):
     """Every served query's record matches the canonical solo baseline,
-    however it arrived and however many dispatch workers ran."""
+    however it arrived and however many pool workers each tenant
+    session ran."""
     from repro.server import Arrival, QueryServer, trace_arrivals
 
     records, _, _ = baseline
-    server = QueryServer(default_server(), workers=workers,
+    server = QueryServer(default_server(),
                          preemption=True, aging_seconds=2e-4)
     server.register_dataset(tpch_dataset.tables)
     tenants = ("inter", "norm", "batch")
     server.open_session("inter", priority="interactive", max_concurrency=2)
     server.open_session("norm", priority="normal", max_concurrency=2)
     server.open_session("batch", priority="batch", max_concurrency=2)
+    for tenant in tenants:
+        server.session(tenant).workers = workers
     jobs = []
     for index, query_name in enumerate(EVALUATED_QUERIES):
         plan = build_query(query_name, tpch_dataset).plan

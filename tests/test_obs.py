@@ -5,7 +5,7 @@ The battery pins the PR's contracts:
 * **Byte-identity** — a traced query's JSONL is byte-identical at every
   worker count and across replays; a served chaos epoch (faults,
   failovers, retries, preemption) exports byte-identical epoch JSONL at
-  workers {1, 2, auto} and on a same-configuration replay.
+  tenant-session workers {1, 2, auto} and on a same-configuration replay.
 * **Warm/cold** — only the ``VOLATILE_SPAN_KEYS`` (cache status, morsel
   counts) may differ between a cold and a warm run;
   :meth:`QueryTrace.timing_jsonl` is bit-identical across warmth.
@@ -218,13 +218,15 @@ def _chaos_server(tpch_dataset, plans, *, workers=1, tracing=True):
     fault_plan = (FaultPlan(seed=13)
                   .fail_device("gpu0", at=2e-4, recover_at=5e-3)
                   .transient_errors(rate=0.3))
-    server = QueryServer(default_server(), workers=workers,
+    server = QueryServer(default_server(),
                          preemption=True, aging_seconds=2e-4,
                          fault_plan=fault_plan, tracing=tracing)
     server.register_dataset(tpch_dataset.tables)
     server.open_session("inter", priority="interactive",
                         max_concurrency=2, slo_p99_seconds=0.05)
     server.open_session("batch", priority="batch", max_concurrency=2)
+    for tenant in ("inter", "batch"):
+        server.session(tenant).workers = workers
     for name in EVALUATED_QUERIES:
         server.submit("batch", plans[name], "hybrid", label=name)
         server.submit("inter", plans[name], "gpu", label=name)

@@ -243,20 +243,15 @@ class TestOpenLoopDeterminism:
 # The PR 5 drain is a provable special case of the open-loop path
 # ----------------------------------------------------------------------
 class TestDrainStyleEquivalence:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_all_arrivals_at_zero_match_legacy_submit(self, tpch_dataset,
-                                                      workers):
+    def test_all_arrivals_at_zero_match_legacy_submit(self, tpch_dataset):
         plans = {q: build_query(q, tpch_dataset).plan
                  for q in EVALUATED_QUERIES}
         jobs = [("alpha", "Q1", "cpu"), ("beta", "Q5", "gpu"),
                 ("alpha", "Q6", "hybrid"), ("gamma", "Q9", "cpu"),
                 ("beta", "Q1", "hybrid"), ("gamma", "Q6", "gpu")]
-        # Shared cache ON at every worker count: trace-at-lookup /
-        # commit-in-pick-order attribution makes hit/miss counters a
-        # pure function of the admission schedule, so the fingerprint —
-        # cache counters included — matches exactly even when tenants
-        # with overlapping kernel footprints execute concurrently.
-        knobs = {}
+        # Shared cache ON: both drains execute the same picks in the
+        # same order, so the fingerprint — cache counters included —
+        # matches exactly even though tenants share kernels.
 
         def build(server):
             server.register_dataset(tpch_dataset.tables)
@@ -265,14 +260,13 @@ class TestDrainStyleEquivalence:
             server.open_session("beta", priority="normal")
             server.open_session("gamma", priority="batch")
 
-        legacy = QueryServer(default_server(), workers=workers, **knobs)
+        legacy = QueryServer(default_server())
         build(legacy)
         for tenant, query, mode in jobs:
             legacy.submit(tenant, plans[query], mode)
         legacy_report = legacy.run()
 
-        open_loop = QueryServer(default_server(), workers=workers,
-                                preemption=False, **knobs)
+        open_loop = QueryServer(default_server(), preemption=False)
         build(open_loop)
         open_loop.add_arrivals(
             Arrival(at=0.0, tenant=tenant, plan=plans[query], mode=mode)

@@ -414,7 +414,7 @@ class TestStatisticsAdmission:
 
 
 # ----------------------------------------------------------------------
-# Deterministic shared-cache attribution (trace/commit)
+# Shared-cache attribution (counted at lookup, in pick order)
 # ----------------------------------------------------------------------
 class TestSharedCacheAttribution:
     JOBS = (("alpha", "Q1"), ("beta", "Q1"), ("gamma", "Q1"),
@@ -422,10 +422,10 @@ class TestSharedCacheAttribution:
 
     def _run(self, tpch_dataset, workers):
         queries = all_queries(tpch_dataset)
-        server = QueryServer(default_server(), workers=workers)
+        server = QueryServer(default_server())
         server.register_dataset(tpch_dataset.tables)
         for tenant in ("alpha", "beta", "gamma"):
-            server.open_session(tenant)
+            server.open_session(tenant).workers = workers
         tickets = [
             server.submit(tenant, queries[query].plan, "cpu",
                           label=f"{tenant}:{query}:{index}")
@@ -466,6 +466,32 @@ class TestSharedCacheAttribution:
         baseline = fingerprint(1)
         assert fingerprint(2) == baseline
         assert fingerprint("auto") == baseline
+
+    @pytest.mark.parametrize("budget", [1, 1 << 10])
+    def test_lookup_of_a_dropped_entry_counts_as_a_miss(self, tpch_dataset,
+                                                        budget):
+        # A budget so small that some of alpha's kernel entries are gone
+        # (refused as too large, or evicted) before beta looks up the
+        # same keys.  Ground truth: a private session with the same
+        # budget running the same two queries in the same order, whose
+        # cache counts every lookup as it happens.
+        plan = all_queries(tpch_dataset)["Q5"].plan
+        server = QueryServer(default_server(), cache_budget_bytes=budget)
+        server.register_dataset(tpch_dataset.tables)
+        first = server.submit("alpha", plan, "cpu")
+        second = server.submit("beta", plan, "cpu")
+        server.run()
+        solo = HAPEEngine(default_server(), cache_budget_bytes=budget)
+        solo.register_dataset(tpch_dataset.tables)
+        truth = [solo.execute(plan, "cpu").cache for _ in range(2)]
+        assert server.query_cache.stats().evicted > 0
+        assert truth[1].misses > 0
+        for ticket, expected in zip((first, second), truth):
+            assert (ticket.cache.hits, ticket.cache.misses) == (
+                expected.hits, expected.misses), ticket.tenant
+        per_tenant = server.query_cache.tenant_counters()
+        assert (per_tenant["beta"].hits, per_tenant["beta"].misses) == (
+            truth[1].hits, truth[1].misses)
 
 
 # ----------------------------------------------------------------------

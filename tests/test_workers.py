@@ -2,8 +2,9 @@
 
 The determinism contract (outputs bit-identical at every worker count) is
 pinned by ``test_invariants.py`` / ``test_fuzz_plans.py``; this module
-covers the other half of the tentpole: the ``workers`` knob surface, the
-ordered-merge pool itself, and — under genuine thread contention — that
+covers the rest: the ``workers`` knob surface, the ordered-merge pool
+itself, that pool tasks never charge the hardware ledgers (clocks, link
+bytes, memory pools), and — under genuine thread contention — that
 the lock-protected shared state (:class:`QueryCache`,
 :class:`SharedQueryCache`, :class:`OccupancyBoard`, :class:`Catalog`)
 never loses or double-counts an update: counters reconcile exactly
@@ -105,10 +106,6 @@ class TestWorkersKnob:
 # The pool
 # ----------------------------------------------------------------------
 class TestWorkerPool:
-    def test_rejects_unknown_tier(self):
-        with pytest.raises(ValueError):
-            WorkerPool(2, tier="gpu")
-
     def test_single_worker_runs_inline(self):
         pool = WorkerPool(1)
         seen = []
@@ -228,69 +225,6 @@ class TestQueryCacheRaces:
 # Race stress: the shared (multi-tenant) cache
 # ----------------------------------------------------------------------
 class TestSharedQueryCacheRaces:
-    def test_tenant_brackets_trace_then_commit_deterministically(self):
-        cache = SharedQueryCache(budget_bytes=None)
-        cache.put("warm", {"x": np.arange(2, dtype=np.int64)}, nbytes=16)
-        cache.begin_epoch()
-        brackets: dict[int, object] = {}
-
-        def worker(index: int) -> None:
-            tenant = f"tenant{index}"
-            with cache.tenant(tenant) as bracket:
-                for op in range(STRESS_OPS):
-                    cache.get("warm" if op % 2 else ("cold", index, op))
-            brackets[index] = bracket
-
-        _hammer(worker)
-        # Tracing alone moves nothing: counters are a commit-time affair.
-        assert cache.counters().lookups == 0
-        assert all(c.lookups == 0
-                   for c in cache.tenant_counters().values())
-        for index in range(STRESS_THREADS):
-            delta = cache.commit(brackets[index])
-            # Attribution never bleeds across brackets: each commit sees
-            # exactly its own traffic, half warm hits, half cold misses.
-            assert delta.hits == STRESS_OPS // 2
-            assert delta.misses == STRESS_OPS - STRESS_OPS // 2
-        per_tenant = cache.tenant_counters()
-        assert len(per_tenant) == STRESS_THREADS
-        for index in range(STRESS_THREADS):
-            counters = per_tenant[f"tenant{index}"]
-            assert counters.lookups == STRESS_OPS
-            assert counters.hits == STRESS_OPS // 2
-            assert counters.misses == STRESS_OPS - STRESS_OPS // 2
-        totals = cache.counters()
-        assert totals.lookups == STRESS_THREADS * STRESS_OPS
-        assert totals.hits == sum(c.hits for c in per_tenant.values())
-        assert totals.misses == sum(c.misses for c in per_tenant.values())
-
-    def test_racing_lookups_commit_one_miss_in_pick_order(self):
-        # However the worker threads interleave — whoever actually
-        # computed the shared kernel first — classification happens at
-        # commit, in the caller's (the server's pick) order: exactly one
-        # miss, charged to the first committed bracket, hits for the
-        # rest.  This is the deterministic-attribution contract.
-        cache = SharedQueryCache(budget_bytes=None)
-        cache.begin_epoch()
-        brackets: dict[int, object] = {}
-
-        def worker(index: int) -> None:
-            with cache.tenant(f"tenant{index}") as bracket:
-                if cache.get("shared") is None:
-                    cache.put("shared",
-                              {"x": np.arange(2, dtype=np.int64)}, nbytes=16)
-            brackets[index] = bracket
-
-        _hammer(worker)
-        deltas = [cache.commit(brackets[index])
-                  for index in range(STRESS_THREADS)]
-        assert deltas[0].misses == 1 and deltas[0].hits == 0
-        for delta in deltas[1:]:
-            assert delta.hits == 1 and delta.misses == 0
-        totals = cache.counters()
-        assert totals.misses == 1
-        assert totals.hits == STRESS_THREADS - 1
-
     def test_unbracketed_traffic_is_not_attributed(self):
         cache = SharedQueryCache(budget_bytes=None)
 
@@ -301,6 +235,79 @@ class TestSharedQueryCacheRaces:
         _hammer(worker)
         assert cache.tenant_counters() == {}
         assert cache.counters().misses == STRESS_THREADS * STRESS_OPS
+
+
+# ----------------------------------------------------------------------
+# The hardware ledgers are charged on the query thread only
+# ----------------------------------------------------------------------
+class TestLedgersStayOnTheQueryThread:
+    """Pool tasks transform data; only the query thread charges hardware.
+
+    This is what lets device clocks, link byte counters and memory pools
+    be plain attributes: a pool task that reserved clock time, moved
+    link bytes or checked and allocated device memory would race the
+    query thread on the same ledger.
+    """
+
+    @pytest.mark.parametrize("mode", ["hybrid", "gpu"])
+    @pytest.mark.parametrize("query", ["Q5", "Q9"])
+    def test_pool_tasks_never_charge_hardware(self, tpch_dataset,
+                                              monkeypatch, query, mode):
+        from repro.engine.optimizer import OptimizerOptions
+        from repro.hardware.clock import SimClock
+        from repro.hardware.interconnect import Link
+        from repro.hardware.memory import MemoryPool
+        from repro.relational.physical import JoinAlgorithm, PJoin
+        from repro.workloads import build_query
+
+        charged: list[tuple[str, int]] = []
+        pool_threads: list[int] = []
+
+        def recording(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                charged.append((name, threading.get_ident()))
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        recording(SimClock, "reserve")
+        recording(Link, "transfer")
+        recording(MemoryPool, "allocate")
+        recording(MemoryPool, "can_fit")
+        map_ordered = WorkerPool.map_ordered
+
+        def traced_map(self, fn, items):
+            def task(item):
+                pool_threads.append(threading.get_ident())
+                return fn(item)
+            return map_ordered(self, task, items)
+        monkeypatch.setattr(WorkerPool, "map_ordered", traced_map)
+
+        # Small builds are partitioned, so radix and GPU-partitioned
+        # passes run on the pool alongside the fused morsel streams.
+        engine = HAPEEngine(default_server(), workers=2, morsel_rows=997,
+                            cache_budget_bytes=0,
+                            optimizer_options=OptimizerOptions(
+                                small_build_rows=2))
+        engine.register_dataset(tpch_dataset.tables)
+        plan = build_query(query, tpch_dataset).plan
+        physical = engine.plan(plan, mode)
+        algorithms = {node.algorithm for node in physical.walk()
+                      if isinstance(node, PJoin)}
+        assert algorithms & {JoinAlgorithm.RADIX_GPU,
+                             JoinAlgorithm.COPROCESSED_RADIX}
+        engine.execute(plan, mode)
+
+        query_thread = threading.get_ident()
+        assert set(pool_threads) - {query_thread}, (
+            "no pool task ran off the query thread")
+        names = {name for name, _ in charged}
+        assert {"reserve", "transfer"} <= names
+        assert names & {"allocate", "can_fit"}
+        off_thread = {name for name, ident in charged
+                      if ident != query_thread}
+        assert not off_thread, f"charged from a pool thread: {off_thread}"
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ latest run containing a ``scale`` suite and asserts:
    ``server_cache_identical_across_workers`` flag is true: a multi-tenant
    drain with cross-session caching ON reported identical ticket
    statuses, simulated seconds and tenant-attributed hit/miss counters
-   at workers {1, 2, auto} (the trace/commit attribution contract).
+   with every tenant session at workers {1, 2, auto}.
 3. **Wall-clock speedup.**  The suite reaches at least ``--min-speedup``
    (default 1.5) times the ``workers=1`` wall-clock at 4 workers.  This
    gate only runs on hosts with at least ``--min-cpus`` (default 4) CPUs

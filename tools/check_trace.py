@@ -5,7 +5,8 @@ Reads a benchmark results file (``BENCH_results.json`` layout), takes
 the latest run containing a ``trace`` suite and asserts:
 
 1. **Byte-identity.**  The chaos epoch's exported JSONL was
-   byte-identical at workers {1, 2, auto} and across a same-seed replay
+   byte-identical with tenant sessions at workers {1, 2, auto} and
+   across a same-seed replay
    (``trace_identical_across_workers_and_replay``).
 2. **Perfetto loadability.**  The Chrome trace-event export round-trips
    through ``json`` with well-formed events (``perfetto_loadable``).
