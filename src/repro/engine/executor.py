@@ -293,6 +293,13 @@ def _stage_meta(result: NodeResult) -> _StageMeta:
                       nbytes=result.nbytes)
 
 
+def _read_only_view(values: np.ndarray) -> np.ndarray:
+    """A view of ``values`` that refuses writes; ``values`` keeps its flags."""
+    view = values.view()
+    view.flags.writeable = False
+    return view
+
+
 class _PassthroughStage:
     """Exchange stage of a fused chain: forwards each morsel untouched.
 
@@ -1217,9 +1224,12 @@ class Executor:
         names = node.columns if node.columns else table.column_names
         # Scan results are zero-copy views over catalog-resident arrays:
         # cached at byte cost 0, they never compete with derived results
-        # for the session cache budget.
+        # for the session cache budget.  The views are read-only, cached or
+        # not, so no result can write into the catalog; the catalog's own
+        # arrays keep their flags.
         columns = self._memoized_kernel(
-            node, lambda: {name: table.array(name) for name in names},
+            node, lambda: {name: _read_only_view(table.array(name))
+                           for name in names},
             zero_copy=True)
         result = NodeResult(columns=columns, ready=0.0,
                             location=table.location,

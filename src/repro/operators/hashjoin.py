@@ -59,9 +59,10 @@ def join_match_indices(build_keys: np.ndarray,
     """Positions of all matching (build, probe) pairs for an equi-join.
 
     One :class:`~repro.relational.keys.JoinBuildIndex` build and probe:
-    a direct-address table for unique, densely spread integer keys, the
-    sort-based matcher otherwise; handles duplicate build keys.  Returns
-    ``(build_indices, probe_indices)`` ordered by probe position.
+    a direct-address table for unique, densely spread integer keys, an
+    open-addressing hash table for other unique integer keys, the
+    sort-based matcher for duplicate, non-integer or over-clustered keys.
+    Returns ``(build_indices, probe_indices)`` ordered by probe position.
     """
     return JoinBuildIndex(build_keys).probe(probe_keys)
 
@@ -80,13 +81,20 @@ def composite_key(columns: Mapping[str, np.ndarray],
 def _materialize_join(build: Mapping[str, np.ndarray],
                       probe: Mapping[str, np.ndarray],
                       build_indices: np.ndarray,
-                      probe_indices: np.ndarray) -> ArrayMap:
-    """Gather the output columns of a join (probe columns win name clashes)."""
+                      probe_indices: np.ndarray | None) -> ArrayMap:
+    """Gather the output columns of a join (probe columns win name clashes).
+
+    ``probe_indices=None`` means every probe row matched exactly once, in
+    order: the probe columns pass through without a copy.
+    """
     result: ArrayMap = {}
     for name, values in build.items():
         result[name] = np.asarray(values)[build_indices]
     for name, values in probe.items():
-        result[name] = np.asarray(values)[probe_indices]
+        values = np.asarray(values)
+        if probe_indices is not None:
+            values = values[probe_indices]
+        result[name] = values
     return result
 
 
@@ -139,6 +147,11 @@ class HashJoinBuild:
         probe = {name: np.asarray(values) for name, values in probe.items()}
         build_indices, probe_indices = self.index.probe(
             composite_key(probe, probe_keys))
+        # Unique build keys match each probe row at most once, so as many
+        # matches as probe rows means ``probe_indices`` is ``arange``.
+        if (self.index.unique_keys
+                and len(probe_indices) == columns_num_rows(probe)):
+            probe_indices = None
         return _materialize_join(self.columns, probe,
                                  build_indices, probe_indices)
 

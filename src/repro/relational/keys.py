@@ -12,6 +12,16 @@ well-defined modular arithmetic (NumPy's ``int64`` wraparound is identical
 bit-for-bit, but going through ``uint64`` keeps the semantics explicit and
 silences any overflow warnings), then reinterpreted as ``int64``.
 
+Equi-joins match folded keys through :class:`JoinBuildIndex`, which picks
+one of three tiers per build side: a direct-address table for unique
+integer keys dense enough to fit ``DIRECT_SLOTS_PER_ROW`` slots per key, an
+open-addressing hash table (Fibonacci hashing, linear probing, resolved in
+vectorized rounds) for any other unique integer keys, and a stable argsort
+with binary-search probes for duplicate, non-integer or adversarially
+clustered keys.  Both tables cost at most 64 bytes per build row.  The
+reference executor matches with :func:`match_indices`, the sort alone, so
+the engine's tiers are checked against code they do not share.
+
 This module intentionally depends only on NumPy so that both the relational
 reference executor and the hardware-conscious operators can import it
 without creating an import cycle.
@@ -70,11 +80,26 @@ def composite_key_map(columns: Mapping[str, np.ndarray],
 #: per row and about even at 512, so memory sets the bound: 8 slots (64
 #: bytes) per row is 4x the sort path's order and sorted copy, and still
 #: covers TPC-H Q5's date-filtered ``orders`` build (span 6.2 per row).
+#: Keys the budget rejects are hashed, and the direct table stays first
+#: because it is cheaper where it fits: 1M dense keys and 4M probes took
+#: 113 ms direct against 231 ms hashed (2.1 s sorted); TPC-H Q9's SF 0.2
+#: ``partsupp`` keys (160k, 1.2M probes) took 49 ms hashed against 282 ms
+#: sorted (same host).
 DIRECT_SLOTS_PER_ROW = 8
 
-#: Key spans at or above this go straight to the sort-based matcher, so
+#: Key spans at or above this never take the direct-address table, so
 #: ``keys - lo`` can never wrap around ``int64``.
 _MAX_DIRECT_SPAN = 1 << 62
+
+#: Multiplier of the hash tier's Fibonacci hashing: 2**64 divided by the
+#: golden ratio.  It is odd, so the product is a bijection on ``uint64``,
+#: and its top bits (the home slot) depend on every bit of the key.
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+#: Longest run of occupied slots the hash tier accepts.  A probe walks at
+#: most one run, so this bounds every probe by a constant; keys that
+#: cluster beyond it (an adversarial key set) take the sort instead.
+_HASH_MAX_RUN = 64
 
 
 def _direct_dtype(dtype: np.dtype) -> bool:
@@ -152,36 +177,131 @@ class _SortedKeyIndex:
                 right_indices.astype(np.int64, copy=False))
 
 
+class _HashKeyIndex:
+    """Open-addressing hash table over unique ``int64`` keys.
+
+    Fibonacci hashing into ``2**bits >= 2n`` slots, linear probing.  Insert
+    and probe resolve collisions in vectorized rounds: each round looks up
+    every pending key's current slot at once, and only the keys that must
+    walk on to the next slot stay pending.  A probe stops at its key or at
+    an empty slot, so no probe takes more rounds than the longest run of
+    occupied slots, which :meth:`build` caps at ``_HASH_MAX_RUN``.
+    """
+
+    __slots__ = ("_shift", "_mask", "_keys", "_rows")
+
+    def __init__(self, shift: np.uint64, keys: np.ndarray,
+                 rows: np.ndarray) -> None:
+        self._shift = shift
+        self._mask = len(rows) - 1
+        self._keys = keys
+        self._rows = rows
+
+    def _home(self, keys: np.ndarray) -> np.ndarray:
+        hashed = keys.view(np.uint64) * _HASH_MULTIPLIER
+        return (hashed >> self._shift).astype(np.int64)
+
+    @classmethod
+    def build(cls, keys: np.ndarray) -> "_HashKeyIndex | None":
+        """The table over ``keys``, or ``None`` to send them to the sort.
+
+        ``None`` when two keys are equal, or when a run of occupied slots
+        is longer than ``_HASH_MAX_RUN``.
+        """
+        bits = (2 * len(keys) - 1).bit_length()
+        capacity = 1 << bits
+        index = cls(np.uint64(64 - bits), np.zeros(capacity, dtype=np.int64),
+                    np.full(capacity, -1, dtype=np.int64))
+        table_keys, table_rows = index._keys, index._rows
+        rows = np.arange(len(keys), dtype=np.int64)
+        slots = index._home(keys)
+        for _ in range(_HASH_MAX_RUN):
+            # Claim the free slots; of the rows racing for one, one wins.
+            free = np.flatnonzero(table_rows[slots] < 0)
+            table_rows[slots[free]] = rows[free]
+            placed = np.zeros(len(rows), dtype=bool)
+            placed[free] = table_rows[slots[free]] == rows[free]
+            table_keys[slots[placed]] = keys[placed]
+            # Every other row now faces a slot holding another row's key.
+            walk = ~placed
+            slots, rows, keys = slots[walk], rows[walk], keys[walk]
+            if np.any(table_keys[slots] == keys):
+                return None
+            if not len(rows):
+                break
+            slots = (slots + 1) & index._mask
+        else:
+            return None
+        # Runs between empty slots, plus the one wrapping past the end
+        # (capacity >= 2n leaves at least n slots empty).
+        empty = np.flatnonzero(table_rows < 0)
+        longest = max(int(np.diff(empty).max(initial=1)) - 1,
+                      int(empty[0]) + capacity - 1 - int(empty[-1]))
+        return index if longest <= _HASH_MAX_RUN else None
+
+    def probe(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        slots = self._home(keys)
+        hits = self._rows[slots]
+        same = self._keys[slots] == keys
+        pending = np.flatnonzero((hits >= 0) & ~same)
+        hits[~same] = -1
+        slots, keys = slots[pending], keys[pending]
+        while len(pending):
+            slots = (slots + 1) & self._mask
+            rows = self._rows[slots]
+            same = self._keys[slots] == keys
+            found = same & (rows >= 0)
+            hits[pending[found]] = rows[found]
+            walk = (rows >= 0) & ~same
+            pending, slots, keys = pending[walk], slots[walk], keys[walk]
+        right_indices = np.flatnonzero(hits >= 0)
+        return hits[right_indices], right_indices
+
+
 class JoinBuildIndex:
     """Key index over a join's build side (build once, probe many).
 
-    The build-then-probe surface of every engine equi-join.  When the build
-    keys are unique integers whose span, divided by their common stride,
-    fits ``DIRECT_SLOTS_PER_ROW`` slots per key, construction scatters the
-    row ids into a direct-address table — no sort — and :meth:`probe` is a
-    range/stride mask plus one gather.  The table holds at most
-    ``DIRECT_SLOTS_PER_ROW * n + 1`` ``int64`` slots.  Any other build side
-    (duplicate, sparse, non-integer or near-``int64``-extreme keys) falls
-    back to one stable argsort and binary-search probes.
+    The build-then-probe surface of every engine equi-join.  Construction
+    picks one of three tiers (:attr:`tier`):
+
+    * ``"direct"`` — unique integer keys whose span, divided by their
+      common stride, fits ``DIRECT_SLOTS_PER_ROW`` slots per key: row ids
+      scattered into a direct-address table, and :meth:`probe` is a
+      range/stride mask plus one gather.  At most
+      ``DIRECT_SLOTS_PER_ROW * n + 1`` ``int64`` slots.
+    * ``"hash"`` — any other unique integer keys: the open-addressing
+      table of ``_HashKeyIndex``, at most ``4n`` slots of an ``int64`` key
+      and an ``int64`` row id (64 bytes per build row).
+    * ``"sorted"`` — duplicate or non-integer keys, and integer keys that
+      cluster into a hash run longer than ``_HASH_MAX_RUN``: one stable
+      argsort and binary-search probes.
 
     :meth:`probe` can be called per probe batch — the whole probe side at
-    once, or one morsel at a time.  Both paths order pairs by probe
+    once, or one morsel at a time.  Every tier orders pairs by probe
     position (ties by ascending build position), so concatenating
     per-morsel probe results reproduces the whole-column match list bit
-    for bit, whichever path the keys take.
+    for bit, whichever tier the keys take.  :meth:`probe` writes nothing
+    the next call reads except a lazily built sorted matcher for a probe
+    dtype the tier cannot take, so threads may share one index.
     """
 
-    __slots__ = ("_keys", "_lo", "_hi", "_step", "_table", "_sorted")
+    __slots__ = ("_keys", "_lo", "_hi", "_step", "_table", "_hash",
+                 "_sorted")
 
     def __init__(self, left_keys: np.ndarray) -> None:
         left_keys = np.asarray(left_keys)
         self._keys = left_keys
         self._table: np.ndarray | None = None
+        self._hash: _HashKeyIndex | None = None
         self._sorted: _SortedKeyIndex | None = None
         if len(left_keys) and _direct_dtype(left_keys.dtype):
             keys = left_keys.astype(np.int64, copy=False)
             layout = _direct_layout(keys)
-            if layout is not None and self._scatter(keys, *layout):
+            if layout is None:
+                self._hash = _HashKeyIndex.build(keys)
+                if self._hash is not None:
+                    return
+            elif self._scatter(keys, *layout):
                 return
         self._sorted = _SortedKeyIndex(left_keys)
 
@@ -204,9 +324,17 @@ class JoinBuildIndex:
         return int(len(self._keys))
 
     @property
-    def is_direct(self) -> bool:
-        """Whether the build took the direct-address path."""
-        return self._table is not None
+    def tier(self) -> str:
+        """The build's matcher: ``"direct"``, ``"hash"`` or ``"sorted"``."""
+        if self._table is not None:
+            return "direct"
+        return "sorted" if self._hash is None else "hash"
+
+    @property
+    def unique_keys(self) -> bool:
+        """Whether the build keys are distinct: a probe row matches once
+        at most."""
+        return self.tier != "sorted" or self._sorted.unique_keys
 
     def probe(self, right_keys: np.ndarray,
               ) -> tuple[np.ndarray, np.ndarray]:
@@ -218,11 +346,14 @@ class JoinBuildIndex:
         """
         right_keys = np.asarray(right_keys)
         table = self._table
-        if table is None or not _direct_dtype(right_keys.dtype):
+        if ((table is None and self._hash is None)
+                or not _direct_dtype(right_keys.dtype)):
             if self._sorted is None:
                 self._sorted = _SortedKeyIndex(self._keys)
             return self._sorted.probe(right_keys)
         keys = right_keys.astype(np.int64, copy=False)
+        if self._hash is not None:
+            return self._hash.probe(keys)
         valid = (keys >= self._lo) & (keys <= self._hi)
         # Outside [lo, hi] the subtraction may wrap; those slots are masked.
         slots = keys - np.int64(self._lo)

@@ -76,10 +76,10 @@ def join_indices(left_keys: list[np.ndarray],
     The semantic reference for every join algorithm in
     :mod:`repro.operators`.  Vectorized via the sort + binary-search
     :func:`~repro.relational.keys.match_indices` — deliberately not the
-    engine's direct-address ``JoinBuildIndex``, so the plan fuzzer checks
-    the engine against code it does not share; pair order (by right index,
-    ties by ascending left index) is identical to the historical
-    dictionary-based implementation, which survives as
+    engine's direct-address or hash tiers of ``JoinBuildIndex``, so the
+    plan fuzzer checks the engine against code it does not share; pair
+    order (by right index, ties by ascending left index) is identical to
+    the historical dictionary-based implementation, which survives as
     :func:`join_indices_dict` — the cross-check oracle for small inputs.
     """
     return match_indices(_composite(left_keys), _composite(right_keys))

@@ -21,6 +21,7 @@ from repro.relational import (
     lit,
     scan,
 )
+from repro.storage import generate_tpch
 from repro.workloads import EVALUATED_QUERIES, all_queries, build_query
 
 MODES = ("cpu", "gpu", "hybrid")
@@ -73,6 +74,28 @@ class TestTPCHCorrectness:
         assert "o_year" in result.table.column_names
         years = set(result.table.array("o_year").tolist())
         assert years <= set(range(1992, 1999))
+
+    def test_q9_partsupp_build_takes_the_hash_tier(self, monkeypatch):
+        """Q9's folded ``(ps_partkey, ps_suppkey)`` build is unique but far
+        too sparse for the direct-address table: it must hash, not sort."""
+        from repro.operators import hashjoin
+
+        dataset = generate_tpch(scale_factor=0.01, seed=7)
+        engine = HAPEEngine(default_server(), cache_budget_bytes=0)
+        engine.register_dataset(dataset.tables)
+        tiers: dict[tuple[str, ...], str] = {}
+        build = hashjoin.HashJoinBuild.__init__
+
+        def spy(self, columns, *, build_keys):
+            build(self, columns, build_keys=build_keys)
+            tiers[tuple(build_keys)] = self.index.tier
+
+        monkeypatch.setattr(hashjoin.HashJoinBuild, "__init__", spy)
+        query = build_query("Q9", dataset)
+        result = engine.execute(query.plan, "cpu")
+        assert tiers[("ps_partkey", "ps_suppkey")] == "hash"
+        assert result.table.equals(execute_logical(query.plan, engine.catalog),
+                                   check_order=False)
 
 
 class TestModesAndTiming:

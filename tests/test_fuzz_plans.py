@@ -22,6 +22,10 @@ empty inputs too.  Every case also replays on a statistics-off engine
 plans — simulated seconds are exempt on that axis — but results must
 stay cell-exact.
 
+A second family, with its own seeds, draws every integer key column from a
+pool of unique keys spread over ±10**15, so the engine's joins take the
+hash tier of the join index instead of the direct-address table.
+
 Every failure message prints the reproducing seed and the offending plan;
 re-running a single case is ``pytest "tests/test_fuzz_plans.py::test_fuzzed_plan_matches_reference[<seed>]"``.
 The case count is controlled by the ``FUZZ_PLAN_CASES`` environment
@@ -68,6 +72,14 @@ WORKER_SETTINGS = (1, 2)
 #: co-processed joins even for tiny builds, covering the radix paths.
 AGGRESSIVE_EVERY = 3
 
+#: The sparse-key family: integer key columns drawn from a per-case pool of
+#: unique keys spread over ±10**15, so joins take the hash tier of the
+#: join index (and, on full matches, the probe passthrough).  Its seeds
+#: are offset, so the regular family's plans do not change.
+FUZZ_SPARSE_CASES = FUZZ_PLAN_CASES // 5
+SPARSE_SEED_OFFSET = 1 << 24
+SPARSE_POOL_KEYS = 128
+
 
 # ----------------------------------------------------------------------
 # Random case generation
@@ -82,9 +94,14 @@ class _Case:
     accumulations compare bit-exact.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, *, sparse: bool = False):
         self.seed = seed
-        self.rng = np.random.default_rng(SEED_BASE + seed)
+        self.sparse = sparse
+        self.rng = np.random.default_rng(
+            SEED_BASE + (SPARSE_SEED_OFFSET if sparse else 0) + seed)
+        if sparse:
+            self.key_pool = self.rng.permutation(np.unique(
+                self.rng.integers(-10**15, 10**15, SPARSE_POOL_KEYS)))
         self.tables: list[Table] = []
         self.plan, self.schema = self._build_plan()
 
@@ -98,7 +115,7 @@ class _Case:
             rows = 1
         else:
             rows = int(rng.integers(2, 121))
-        prefix = f"f{self.seed}_{index}"
+        prefix = f"{'s' if self.sparse else 'f'}{self.seed}_{index}"
         domain = int(rng.integers(1, max(rows // 2, 2) + 1))
         int_cols = [f"{prefix}_k", f"{prefix}_j"]
         num_cols = [f"{prefix}_v", f"{prefix}_w"]
@@ -108,6 +125,13 @@ class _Case:
             num_cols[0]: rng.normal(size=rows),
             num_cols[1]: rng.integers(-50, 51, rows).astype(np.int64),
         }
+        if self.sparse:
+            # ``_k``: the first ``rows`` pool keys, shuffled — unique and
+            # sparse, and a smaller table's keys are all in a larger one's
+            # (every probe row matches once).  ``_j``: duplicates of them.
+            pool = self.key_pool[:rows]
+            arrays[int_cols[0]] = rng.permutation(pool)
+            arrays[int_cols[1]] = pool[rng.integers(0, max(rows, 1), rows)]
         table = Table.from_arrays(f"tbl_{prefix}", arrays)
         self.tables.append(table)
         return table, int_cols, int_cols + num_cols
@@ -388,7 +412,18 @@ class TestZeroRowEdges:
 
 @pytest.mark.parametrize("seed", range(FUZZ_PLAN_CASES))
 def test_fuzzed_plan_matches_reference(engine_grid, stats_off_engines, seed):
-    case = _Case(seed)
+    _check_grid(_Case(seed), engine_grid, stats_off_engines)
+
+
+@pytest.mark.parametrize("seed", range(FUZZ_SPARSE_CASES))
+def test_fuzzed_sparse_key_plan_matches_reference(engine_grid,
+                                                  stats_off_engines, seed):
+    _check_grid(_Case(seed, sparse=True), engine_grid, stats_off_engines)
+
+
+def _check_grid(case: _Case, engine_grid, stats_off_engines) -> None:
+    """Run ``case`` across the engine grid and the statistics-off axis."""
+    seed = case.seed
     aggressive = seed % AGGRESSIVE_EVERY == 0
     engines = {key: engine for key, engine in engine_grid.items()
                if key[0] == aggressive}
@@ -399,7 +434,8 @@ def test_fuzzed_plan_matches_reference(engine_grid, stats_off_engines, seed):
             engine.register_table(table)
         stats_off.register_table(table)
     reference = execute_logical(case.plan, first.catalog)
-    context_base = (f"seed={seed} (aggressive={aggressive})\n"
+    context_base = (f"seed={seed} (aggressive={aggressive}, "
+                    f"sparse={case.sparse})\n"
                     f"plan:\n{case.plan.pretty()}")
     baseline_simulated: dict[str, float] = {}
     try:

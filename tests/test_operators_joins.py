@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ExecutionError
 from repro.operators import (
     GpuJoinConfig,
+    HashJoinBuild,
     coprocessed_radix_join,
     cpu_radix_join,
     gpu_partitioned_join,
@@ -19,6 +20,7 @@ from repro.operators import (
     probe_phase_cost,
     radix_partition,
 )
+from repro.operators.hashjoin import _materialize_join
 from repro.relational import join_indices
 from repro.storage import make_join_pair, make_partial_match_pair
 
@@ -48,6 +50,49 @@ class TestJoinMatchIndices:
         got = join_match_indices(build, probe)
         expected = join_indices([build], [probe])
         assert _sorted_pairs(*got) == _sorted_pairs(*expected)
+
+
+class TestProbePassthrough:
+    """``HashJoinBuild.probe`` skips the probe-side gather exactly when
+    every probe row matches once."""
+
+    @staticmethod
+    def _expected(build, probe):
+        return _materialize_join(build, probe, *join_match_indices(
+            build["bk"], probe["pk"]))
+
+    @pytest.mark.parametrize("tier, keys", [
+        ("direct", np.arange(500, dtype=np.int64)),
+        ("hash", np.arange(500, dtype=np.int64) ** 3 * 7919 - 10**9)])
+    def test_full_match_over_unique_keys_shares_probe_memory(self, tier,
+                                                             keys):
+        rng = np.random.default_rng(5)
+        build = {"bk": rng.permutation(keys), "bv": rng.normal(size=500),
+                 "x": np.arange(500)}
+        probe = {"x": rng.normal(size=2000),
+                 "pk": keys[rng.integers(0, 500, 2000)],
+                 "pv": rng.integers(0, 9, 2000)}
+        builder = HashJoinBuild(build, build_keys=["bk"])
+        assert builder.index.tier == tier and builder.index.unique_keys
+        out = builder.probe(probe, probe_keys=["pk"])
+        expected = self._expected(build, probe)
+        assert list(out) == list(expected)
+        for name, values in expected.items():
+            np.testing.assert_array_equal(out[name], values)
+        for name in probe:
+            assert out[name] is probe[name]
+        assert not np.shares_memory(out["bv"], build["bv"])
+
+    def test_full_count_over_duplicate_keys_gathers(self):
+        build = {"bk": np.asarray([5, 5, 7]), "bv": np.asarray([1, 2, 3])}
+        probe = {"pk": np.asarray([5, 7, 9]), "pv": np.asarray([10, 20, 30])}
+        out = HashJoinBuild(build, build_keys=["bk"]).probe(
+            probe, probe_keys=["pk"])
+        assert len(out["pk"]) == len(probe["pk"])
+        assert not np.shares_memory(out["pv"], probe["pv"])
+        assert out["pk"].tolist() == [5, 5, 7]
+        assert out["pv"].tolist() == [10, 10, 20]
+        assert out["bv"].tolist() == [1, 2, 3]
 
 
 class TestPartitioning:

@@ -335,6 +335,34 @@ class TestBudgetAndEviction:
         np.testing.assert_array_equal(warm.table.array("total"),
                                       first.table.array("total"))
 
+    @pytest.mark.parametrize("budget", [0, DEFAULT_CACHE_BUDGET_BYTES])
+    def test_scan_results_never_alias_writable_catalog_arrays(self, budget):
+        """Uncached scans hand out read-only views too (so do join outputs
+        that pass probe columns through), and neither path freezes the
+        catalog's own arrays."""
+        engine = HAPEEngine(default_server(), cache_budget_bytes=budget)
+        engine.register_table(_table("a"))
+        engine.register_table(Table.from_arrays("b", {
+            "bk": np.arange(64, dtype=np.int64)[::-1].copy()}))
+        plan = scan("a", ["k", "v"])
+        result = engine.execute(plan, "cpu")
+        with pytest.raises(ValueError):
+            result.table.array("v")[0] = 99
+        catalog = [engine.catalog.table(table).array(name)
+                   for table, name in (("a", "k"), ("a", "v"), ("b", "bk"))]
+        joined = engine.execute(scan("a").join(scan("b"), ["k"], ["bk"]),
+                                "cpu").table
+        aliased = [name for name in joined.column_names
+                   if any(np.shares_memory(joined.array(name), base)
+                          for base in catalog)]
+        assert aliased
+        for name in aliased:
+            with pytest.raises(ValueError):
+                joined.array(name)[0] = 99
+        np.testing.assert_array_equal(engine.execute(plan, "cpu")
+                                      .table.array("v"), _table("a").array("v"))
+        assert all(base.flags.writeable for base in catalog)
+
     def test_cache_survives_morsel_retuning(self, session):
         """The cache key ignores morsel_rows: retuning keeps entries warm."""
         session.execute(_sum_plan(), "cpu")
